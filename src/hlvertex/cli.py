@@ -6,7 +6,10 @@ Text output is deterministic; --json switches to a stable JSON schema
 disagreement, 2 argument or parse error.
 
 Setting HLVERTEX_CACHE_DIR persists computed tables to disk, keyed by the
-request; this is purely an acceleration.
+request; this is purely an acceleration.  Entries are written atomically;
+an unreadable or malformed entry is a cache miss (logged as a warning),
+and under --method both an entry stands in for the vertex engine only if
+the Kostant engine recomputes the same table, which is what is printed.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import logging
 import os
 import random
 import sys
@@ -73,6 +77,8 @@ from .weights import (
     vertical_strip_shrink,
 )
 
+log = logging.getLogger(__name__)
+
 
 def _emit(args, text: str, payload) -> None:
     if args.json:
@@ -104,30 +110,67 @@ def cmd_kostka(args) -> int:
     return 0
 
 
+def _load_table(path, key, eta):
+    """Rows of a cache entry, or None when it is absent, unreadable or
+    malformed."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            stored = json.load(fh)
+        if stored["key"] != key:
+            return None
+        return [{"lambda": tuple(r["lambda"]),
+                 "gamma": tuple(tuple(b) for b in r["gamma"]),
+                 "eta": eta,
+                 "K": QPoly.from_json(r["K"])} for r in stored["rows"]]
+    except FileNotFoundError:
+        return None
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        log.warning("ignoring unreadable cache entry %s: %s", path, exc)
+        return None
+
+
+def _store_table(path, key, rows) -> None:
+    """Write a cache entry atomically: a temporary file in the same
+    directory, then a rename over the entry."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump({"key": key,
+                       "rows": [{"lambda": list(r["lambda"]),
+                                 "gamma": [list(b) for b in r["gamma"]],
+                                 "K": r["K"].to_json()} for r in rows]}, fh)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
 def cmd_table(args) -> int:
     eta = parse_weight(args.eta)
+    if not eta or any(e < 1 for e in eta):
+        raise ValueError(f"eta parts must be positive, got {args.eta!r}")
+    if args.max_degree < 1:
+        raise ValueError(f"--max-degree must be at least 1, got {args.max_degree}")
     cached = _table_cache_path(eta, args.max_degree, args.method)
     rows = None
     if cached:
         path, key = cached
-        if os.path.exists(path):
-            with open(path, encoding="utf-8") as fh:
-                stored = json.load(fh)
-            if stored.get("key") == key:
-                rows = [{"lambda": tuple(r["lambda"]),
-                         "gamma": tuple(tuple(b) for b in r["gamma"]),
-                         "eta": eta,
-                         "K": QPoly.from_json(r["K"])} for r in stored["rows"]]
+        rows = _load_table(path, key, eta)
+        if rows is not None and args.method == "both":
+            # the entry only vouches that the vertex engine agreed; what is
+            # printed is the Kostant engine's own recomputation
+            fresh = kostka_table(eta, args.max_degree, method="kostant")
+            if rows == fresh:
+                rows = fresh
+            else:
+                log.warning("cache entry %s disagrees with the Kostant engine; "
+                            "recomputing", path)
+                rows = None
     if rows is None:
         rows = kostka_table(eta, args.max_degree, method=args.method)
         if cached:
-            path, key = cached
-            os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump({"key": key,
-                           "rows": [{"lambda": list(r["lambda"]),
-                                     "gamma": [list(b) for b in r["gamma"]],
-                                     "K": r["K"].to_json()} for r in rows]}, fh)
+            _store_table(path, key, rows)
     header = ("lambda", "gamma", "K")
     body = [(format_weight(r["lambda"]), format_blocked(r["gamma"]), str(r["K"]))
             for r in rows]
@@ -251,7 +294,8 @@ def _suite_colskew(max_degree: int):
     total, failures = 0, []
     etas = [eta for n in range(2, 5) for eta in compositions(n)]
     attempts = 0
-    while total < 20 and attempts < 400:
+    # colskew keys have degree at least 1
+    while max_degree >= 1 and total < 20 and attempts < 400:
         attempts += 1
         eta = rng.choice(etas)
         n = sum(eta)
@@ -414,12 +458,16 @@ _SUITES = {
 
 
 def cmd_check(args) -> int:
+    if args.max_degree < 0:
+        raise ValueError(f"--max-degree must be nonnegative, got {args.max_degree}")
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     report = {}
     ok = True
     lines = []
     for name in names:
         passed, total, failures = _SUITES[name](args.max_degree)
+        if total == 0:
+            failures = failures + ["no checks evaluated"]
         report[name] = {"passed": passed, "total": total, "failures": failures}
         ok = ok and not failures
         lines.append(f"suite {name}: {passed}/{total} passed")

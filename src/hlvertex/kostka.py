@@ -1,9 +1,12 @@
 """Generalized Kostka polynomials by two independent engines.
 
 The Kostant engine antisymmetrizes a block-triangular partition-function
-count; the vertex engine reads Schur coefficients off a composite of
-Hall-Littlewood vertex operators applied to 1.  Agreement of the two is
-the library's central cross-check.
+count: a depth-first walk over the symmetric group, cut wherever no map
+can reach the partial weight, sums signed kostant_series values, each
+counted by a dynamic program over multisets of unspent supplies rather
+than by visiting maps.  The vertex engine reads Schur coefficients off a
+composite of Hall-Littlewood vertex operators applied to 1.  Agreement of
+the two is the library's central cross-check; neither uses the other.
 """
 
 from __future__ import annotations
@@ -56,9 +59,19 @@ def kostant_series(eta, d) -> QPoly:
     root set to the naturals whose weight sum(i,j) m(i,j)(e_i - e_j)
     equals d.
 
-    Enumerated positionwise: crossing each cut p is forced to carry
-    exactly the prefix sum d_1 + ... + d_p, which prunes the search and
-    detects infeasibility (negative prefix, nonzero total) outright.
+    Read m as units flowing from each position to positions of later
+    blocks.  Crossing each cut p then carries exactly the prefix sum
+    d_1 + ... + d_p, which detects infeasibility (negative prefix,
+    nonzero total) outright and caps what a position may send on.
+
+    The maps are counted, not visited, by a dynamic program over the
+    positions in order.  Before position j the state is two sorted
+    tuples of the nonzero supplies still held: those of earlier blocks,
+    all equally valid sources for j, and those of j's own block, which
+    join the first tuple when the next block starts.  At each state the
+    program enumerates how many units j takes from each source, shifts
+    the count of the remaining positions by the units taken, and
+    memoizes per call.  Only nonzero series enter the module cache.
     """
     eta, d = tuple(eta), tuple(d)
     n = sum(eta)
@@ -70,53 +83,59 @@ def kostant_series(eta, d) -> QPoly:
         return cached
     prefix = list(itertools.accumulate(d))
     if (prefix and prefix[-1] != 0) or any(p < 0 for p in prefix):
-        _SERIES_CACHE[key] = QPoly.zero()
         return QPoly.zero()
-    block_of = []
-    for b, size in enumerate(eta):
-        block_of.extend([b] * size)
-    block_end = [0] * n
-    pos = 0
+    block_end = []
     for size in eta:
-        for j in range(pos, pos + size):
-            block_end[j] = pos + size - 1
-        pos += size
+        block_end.extend([len(block_end) + size - 1] * size)
     # units leaving position j cross every cut from j to the end of its block
-    cap = [min(prefix[p] for p in range(j, block_end[j] + 1)) for j in range(n)]
+    cap = [min(prefix[j:block_end[j] + 1]) for j in range(n)]
+    memo: dict = {}
 
-    supplies = [0] * n
-    coeffs: dict = {}
-
-    def visit(j: int, units: int):
+    def count(j: int, earlier: tuple, own: tuple) -> dict:
         if j == n:
-            coeffs[units] = coeffs.get(units, 0) + 1
-            return
-        sources = [i for i in range(j) if block_of[i] < block_of[j] and supplies[i] > 0]
+            return {0: 1}
+        state = (j, earlier, own)
+        found = memo.get(state)
+        if found is not None:
+            return found
+        need = max(0, -d[j])
         max_in = cap[j] - d[j]
-        if max_in < 0:
-            return
+        last = len(earlier)
+        new_block = j + 1 < n and block_end[j + 1] != block_end[j]
+        left = [0] * last
+        # equal supplies make distinct maps that reach the same next state
+        moves: dict = {}
 
-        def distribute(si: int, taken: int):
-            if si == len(sources):
-                supply = d[j] + taken
-                if supply < 0 or supply > cap[j]:
-                    return
-                supplies[j] = supply
-                visit(j + 1, units + taken)
-                supplies[j] = 0
+        def distribute(si: int, taken: int, avail: int):
+            if taken + avail < need:
                 return
-            i = sources[si]
-            hi = min(supplies[i], max_in - taken)
-            for take in range(hi + 1):
-                supplies[i] -= take
-                distribute(si + 1, taken + take)
-                supplies[i] += take
+            if si == last:
+                supply = d[j] + taken
+                rest = [r for r in left if r]
+                mine = list(own) + [supply] if supply else list(own)
+                if new_block:
+                    move = (tuple(sorted(rest + mine)), (), taken)
+                else:
+                    move = (tuple(sorted(rest)), tuple(sorted(mine)), taken)
+                moves[move] = moves.get(move, 0) + 1
+                return
+            supply = earlier[si]
+            for take in range(min(supply, max_in - taken) + 1):
+                left[si] = supply - take
+                distribute(si + 1, taken + take, avail - supply)
 
-        distribute(0, 0)
+        if max_in >= need:
+            distribute(0, 0, sum(earlier))
+        out: dict = {}
+        for (nxt_earlier, nxt_own, taken), ways in moves.items():
+            for e, c in count(j + 1, nxt_earlier, nxt_own).items():
+                out[e + taken] = out.get(e + taken, 0) + ways * c
+        memo[state] = out
+        return out
 
-    visit(0, 0)
-    out = QPoly(coeffs)
-    _SERIES_CACHE[key] = out
+    out = QPoly(count(0, (), ()))
+    if not out.is_zero():
+        _SERIES_CACHE[key] = out
     return out
 
 
@@ -137,7 +156,20 @@ def _validate_key(lam, gamma):
 
 def kostka_kostant(lam, gamma) -> QPoly:
     """K(lam, gamma, eta)(q) by signed summation of kostant_series over
-    the symmetric group."""
+    the symmetric group.
+
+    The permutations are walked depth-first, assigning
+    d_i = lam_rho[perm(i)] - gamma_rho[i] one position at a time, and a
+    branch is cut as soon as no map can have weight d.  Units flow only
+    from a block to later blocks, so a map exists exactly when, for every
+    block, the prefix sum of d before the block plus the negative entries
+    of d within it stays nonnegative (which implies every prefix sum of d
+    is nonnegative).  Every leaf of the walk therefore has a nonzero
+    kostant_series.  Since lam_rho is strictly decreasing, so is the next
+    d_i over the values still free, and the first failing value ends the
+    scan at that depth.  The sign is carried along: choosing a value adds
+    the number of still-unused smaller values to the inversion count.
+    """
     lam, gamma, eta = _validate_key(lam, gamma)
     key = (lam, gamma)
     cached = _KOSTANT_CACHE.get(key)
@@ -150,15 +182,37 @@ def kostka_kostant(lam, gamma) -> QPoly:
         return QPoly.zero()
     lam_rho = tuple(lam[i] + (n - 1 - i) for i in range(n))
     gamma_rho = tuple(flat[i] + (n - 1 - i) for i in range(n))
-    total = QPoly.zero()
-    for perm in itertools.permutations(range(n)):
-        inversions = sum(1 for a in range(n) for b in range(a + 1, n)
-                         if perm[a] > perm[b])
-        d = tuple(lam_rho[perm[i]] - gamma_rho[i] for i in range(n))
-        series = kostant_series(eta, d)
-        if series.is_zero():
-            continue
-        total = total + (series if inversions % 2 == 0 else -series)
+    starts = set(itertools.accumulate(eta[:-1]))
+    coeffs: dict = {}
+    d = [0] * n
+    used = [False] * n
+
+    # partial: prefix sum of d[:i]; floor: that sum before i's block plus
+    # the negative entries of d in i's block so far
+    def walk(i: int, partial: int, floor: int, inversions: int):
+        if i == n:
+            sign = -1 if inversions % 2 else 1
+            for e, c in kostant_series(eta, d).items():
+                coeffs[e] = coeffs.get(e, 0) + sign * c
+            return
+        if i in starts:
+            floor = partial
+        smaller = 0
+        for v in range(n):
+            if used[v]:
+                continue
+            step = lam_rho[v] - gamma_rho[i]
+            low = floor + min(step, 0)
+            if low < 0:
+                break
+            used[v] = True
+            d[i] = step
+            walk(i + 1, partial + step, low, inversions + smaller)
+            used[v] = False
+            smaller += 1
+
+    walk(0, 0, 0, 0)
+    total = QPoly(coeffs)
     _KOSTANT_CACHE[key] = total
     return total
 

@@ -109,6 +109,59 @@ class TestTableCommand:
         assert data["eta"] == [1, 1]
         assert len(data["rows"]) == 4
 
+    def test_table_rejects_nonpositive_eta(self, capsys):
+        for eta in ("0", "2,0", "1,-1"):
+            code, out, err = run(capsys, "table", "--eta", eta, "--max-degree", "3")
+            assert code == 2 and out == ""
+            assert "eta parts must be positive" in err
+
+    def test_table_rejects_degree_below_one(self, capsys):
+        for degree in ("-3", "0"):
+            code, out, err = run(capsys, "table", "--eta", "2", "--max-degree", degree)
+            assert code == 2 and out == ""
+            assert "--max-degree must be at least 1" in err
+
+
+class TestTableCache:
+    ARGS = ("table", "--eta", "2,1", "--max-degree", "3", "--json")
+
+    def _entry(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("HLVERTEX_CACHE_DIR", str(tmp_path))
+        code, out, _ = run(capsys, *self.ARGS)
+        assert code == 0
+        (entry,) = tmp_path.iterdir()
+        return out, entry
+
+    def test_truncated_entry_is_a_miss(self, capsys, tmp_path, monkeypatch, caplog):
+        fresh, entry = self._entry(capsys, tmp_path, monkeypatch)
+        text = entry.read_text(encoding="utf-8")
+        entry.write_text(text[:len(text) // 2], encoding="utf-8")
+        code, out, _ = run(capsys, *self.ARGS)
+        assert code == 0 and out == fresh
+        assert "ignoring unreadable cache entry" in caplog.text
+        assert entry.read_text(encoding="utf-8") == text
+        assert [p.name for p in tmp_path.iterdir()] == [entry.name]
+
+    def test_edited_entry_is_not_served_under_both(self, capsys, tmp_path,
+                                                    monkeypatch, caplog):
+        fresh, entry = self._entry(capsys, tmp_path, monkeypatch)
+        stored = json.loads(entry.read_text(encoding="utf-8"))
+        stored["rows"][0]["K"] = {"7": 1}
+        entry.write_text(json.dumps(stored), encoding="utf-8")
+        code, out, _ = run(capsys, *self.ARGS)
+        assert code == 0 and out == fresh
+        assert "disagrees with the Kostant engine" in caplog.text
+        del stored["rows"][0]
+        entry.write_text(json.dumps(stored), encoding="utf-8")
+        code, out, _ = run(capsys, *self.ARGS)
+        assert code == 0 and out == fresh
+        # equal as numbers but not as text: nothing read from disk is printed
+        stored = json.loads(entry.read_text(encoding="utf-8"))
+        stored["rows"][0]["lambda"] = [float(x) for x in stored["rows"][0]["lambda"]]
+        entry.write_text(json.dumps(stored), encoding="utf-8")
+        code, out, _ = run(capsys, *self.ARGS)
+        assert code == 0 and out == fresh
+
 
 class TestCheckCommand:
     def test_identities_suite(self, capsys):
@@ -127,6 +180,23 @@ class TestCheckCommand:
         assert data["ok"] is True
         assert set(data["suites"]) == {"identities", "colskew", "jing",
                                        "engines", "core"}
+
+    def test_negative_degree_exits_2(self, capsys):
+        for suite in ("identities", "engines", "all"):
+            code, out, err = run(capsys, "check", "--suite", suite,
+                                 "--max-degree", "-1")
+            assert code == 2 and out == ""
+            assert "--max-degree must be nonnegative" in err
+
+    def test_suite_that_evaluates_nothing_fails(self, capsys):
+        # colskew keys start at degree 1, so degree 0 leaves it nothing to check
+        code, out, _ = run(capsys, "check", "--suite", "colskew",
+                           "--max-degree", "0", "--json")
+        assert code == 1
+        data = json.loads(out)
+        assert data["ok"] is False
+        assert data["suites"]["colskew"] == {
+            "passed": 0, "total": 0, "failures": ["no checks evaluated"]}
 
 
 class TestDeterminismAndErrors:

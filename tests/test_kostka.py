@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -39,6 +40,25 @@ def naive_kostant(eta, d, bound):
     return QPoly(coeffs)
 
 
+def permutation_sum(lam, gamma):
+    """Reference K by the definition: the signed kostant_series sum over
+    every permutation, with the sign from a full inversion count."""
+    eta = tuple(len(b) for b in gamma)
+    n = sum(eta)
+    flat = [x for b in gamma for x in b]
+    if sum(lam) != sum(flat):
+        return QPoly.zero()
+    lam_rho = [lam[i] + n - 1 - i for i in range(n)]
+    gamma_rho = [flat[i] + n - 1 - i for i in range(n)]
+    total = QPoly.zero()
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+        d = [lam_rho[perm[i]] - gamma_rho[i] for i in range(n)]
+        series = kostant_series(eta, d)
+        total = total + (-series if inversions % 2 else series)
+    return total
+
+
 class TestRootsSet:
     def test_examples(self):
         assert roots_set((1, 1)) == ((1, 2),)
@@ -73,6 +93,28 @@ class TestKostantSeries:
             d = tuple(d)
             assert kostant_series(eta, d) == naive_kostant(eta, d, 4)
 
+    def test_every_composition_up_to_5_against_oracle(self):
+        # no root carries more than the prefix sum at its source, so the
+        # largest prefix bounds the oracle's search exactly; d is drawn
+        # from prefix walks (mostly feasible) and unconstrained (mostly not)
+        rng = random.Random(5)
+        for n in range(1, 6):
+            for eta in compositions(n):
+                roots = len(roots_set(eta))
+                top = max(b for b in range(4) if (b + 1) ** roots <= 6000)
+                for trial in range(6):
+                    if trial < 4:
+                        heights = [rng.randint(0, top) for _ in range(n - 1)] + [0]
+                        d = [b - a for a, b in zip([0] + heights, heights)]
+                    else:
+                        d = [rng.randint(-2, 2) for _ in range(n - 1)]
+                        d.append(-sum(d))
+                    bound = max(itertools.accumulate(d))
+                    if (bound + 1) ** roots > 6000:
+                        continue
+                    assert kostant_series(eta, d) == naive_kostant(eta, d, max(bound, 0)), \
+                        (eta, d)
+
 
 class TestEngines:
     def test_frozen_values(self):
@@ -103,6 +145,61 @@ class TestEngines:
                     for gamma in blocked_weights(eta, d, max_part=3):
                         for lam in lams:
                             assert kostka(lam, gamma, method="both") is not None
+
+    def test_walk_matches_permutation_sum(self):
+        for n in range(1, 6):
+            for eta in compositions(n):
+                for d in range(0, 5):
+                    lams = [pad_zeros(p, n)
+                            for p in partitions_of(d, max_len=n, max_part=3)]
+                    for gamma in blocked_weights(eta, d, max_part=2):
+                        for lam in lams:
+                            assert kostka_kostant(lam, gamma) == \
+                                permutation_sum(lam, gamma), (lam, gamma)
+        for lam, gamma in [((2, 0, -1), ((1, 0), (0,))),
+                           ((1, 0, -1), ((1, -1), (0,))),
+                           ((3, 3, 1, 0, 0, 0), ((2, 1), (2,), (1, 1, 0)))]:
+            assert kostka_kostant(lam, gamma) == permutation_sum(lam, gamma)
+
+    def test_walk_reaches_only_nonzero_series(self, monkeypatch):
+        # the package re-exports the function kostka under the module's name
+        kostka_module = sys.modules["hlvertex.kostka"]
+        leaves = []
+
+        def recording(eta, d):
+            leaves.append(kostant_series(eta, d))
+            return leaves[-1]
+
+        monkeypatch.setattr(kostka_module, "_KOSTANT_CACHE", {})
+        monkeypatch.setattr(kostka_module, "kostant_series", recording)
+        for eta in compositions(4):
+            for d in range(0, 6):
+                for gamma in blocked_weights(eta, d, max_part=3):
+                    for p in partitions_of(d, max_len=4):
+                        kostka_kostant(pad_zeros(p, 4), gamma)
+        assert leaves and not any(s.is_zero() for s in leaves)
+
+    def test_engines_agree_n5_grid_and_n6_sample(self):
+        for eta in compositions(5):
+            for d in range(0, 7):
+                lams = [pad_zeros(p, 5) for p in partitions_of(d, max_len=5, max_part=3)]
+                for gamma in blocked_weights(eta, d, max_part=3):
+                    for lam in lams:
+                        assert kostka_kostant(lam, gamma) == \
+                            kostka_vertex(lam, gamma), (lam, gamma)
+        rng = random.Random(60)
+        etas6 = list(compositions(6))
+        sampled = 0
+        while sampled < 200:
+            eta = rng.choice(etas6)
+            d = rng.randint(0, 8)
+            lams = [pad_zeros(p, 6) for p in partitions_of(d, max_len=6, max_part=3)]
+            gammas = list(blocked_weights(eta, d, max_part=3))
+            if not lams or not gammas:
+                continue
+            lam, gamma = rng.choice(lams), rng.choice(gammas)
+            assert kostka_kostant(lam, gamma) == kostka_vertex(lam, gamma), (lam, gamma)
+            sampled += 1
 
     def test_negative_entry_keys_agree(self):
         # dominant blocks with negative entries go through the shift rule
@@ -181,6 +278,11 @@ class TestKostkaFoulkes:
                     gamma = tuple((x,) for x in pad_zeros(mu, n))
                     assert kostka_foulkes(lam, mu) == \
                         kostka_vertex(pad_zeros(lam, n), gamma)
+
+    def test_one_row_at_eight_and_nine_singletons(self):
+        # K((n), (1^n)) = q^{n(n-1)/2}, a sum over 8! and 9! permutations
+        for n in (8, 9):
+            assert kostka_foulkes((n,), (1,) * n) == QPoly({n * (n - 1) // 2: 1})
 
     def test_requires_equal_size(self):
         with pytest.raises(ValueError):
