@@ -5,13 +5,13 @@ from .coeffs import QPoly, QRat, is_integral_polynomial, q_power_substitute, spe
 from .kostka import (
     check_col_skew,
     kostant_series,
-    kostka,
     kostka_foulkes,
     kostka_kostant,
     kostka_table,
     kostka_vertex,
     roots_set,
 )
+from .memo import clear_caches
 from .rewrite import (
     OpSum,
     evaluate,

@@ -6,10 +6,12 @@ Text output is deterministic; --json switches to a stable JSON schema
 disagreement, 2 argument or parse error.
 
 Setting HLVERTEX_CACHE_DIR persists computed tables to disk, keyed by the
-request; this is purely an acceleration.  Entries are written atomically;
-an unreadable or malformed entry is a cache miss (logged as a warning),
-and under --method both an entry stands in for the vertex engine only if
-the Kostant engine recomputes the same table, which is what is printed.
+request; this is purely an acceleration.  Entries are written atomically
+with a SHA-256 digest of their rows; an unreadable or malformed entry, or
+one whose rows do not match the digest, is a cache miss (logged as a
+warning) under every method.  Under --method both an entry stands in for
+the vertex engine only if the Kostant engine recomputes the same table,
+which is what is printed.
 """
 
 from __future__ import annotations
@@ -91,7 +93,7 @@ def _table_cache_path(eta, max_degree, method):
     root = os.environ.get("HLVERTEX_CACHE_DIR")
     if not root:
         return None
-    key = f"table:eta={','.join(map(str, eta))}:d={max_degree}:m={method}:v1"
+    key = f"table:eta={','.join(map(str, eta))}:d={max_degree}:m={method}:v2"
     name = hashlib.sha256(key.encode()).hexdigest()[:24] + ".json"
     return os.path.join(root, name), key
 
@@ -110,14 +112,27 @@ def cmd_kostka(args) -> int:
     return 0
 
 
+def _row_json(row: dict) -> dict:
+    return {"lambda": list(row["lambda"]), "gamma": [list(b) for b in row["gamma"]],
+            "K": row["K"].to_json()}
+
+
+def _rows_digest(rows: list) -> str:
+    """SHA-256 of the canonical JSON form of a cache entry's rows."""
+    text = json.dumps(rows, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def _load_table(path, key, eta):
-    """Rows of a cache entry, or None when it is absent, unreadable or
-    malformed."""
+    """Rows of a cache entry, or None when it is absent, unreadable,
+    malformed or does not match its digest."""
     try:
         with open(path, encoding="utf-8") as fh:
             stored = json.load(fh)
         if stored["key"] != key:
             return None
+        if stored["sha256"] != _rows_digest(stored["rows"]):
+            raise ValueError("rows do not match the stored digest")
         return [{"lambda": tuple(r["lambda"]),
                  "gamma": tuple(tuple(b) for b in r["gamma"]),
                  "eta": eta,
@@ -134,12 +149,10 @@ def _store_table(path, key, rows) -> None:
     directory, then a rename over the entry."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = f"{path}.{os.getpid()}.tmp"
+    payload = [_row_json(r) for r in rows]
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump({"key": key,
-                       "rows": [{"lambda": list(r["lambda"]),
-                                 "gamma": [list(b) for b in r["gamma"]],
-                                 "K": r["K"].to_json()} for r in rows]}, fh)
+            json.dump({"key": key, "sha256": _rows_digest(payload), "rows": payload}, fh)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -180,10 +193,7 @@ def cmd_table(args) -> int:
               for row in body]
     _emit(args, "\n".join(lines), {
         "eta": list(eta), "max_degree": args.max_degree,
-        "rows": [{"lambda": list(r["lambda"]),
-                  "gamma": [list(b) for b in r["gamma"]],
-                  "eta": list(eta),
-                  "K": r["K"].to_json()} for r in rows],
+        "rows": [{**_row_json(r), "eta": list(eta)} for r in rows],
     })
     return 0
 
@@ -198,43 +208,22 @@ def cmd_straighten(args) -> int:
     return 0
 
 
-def _opsum_payload(s: OpSum) -> dict:
-    return s.to_json()
-
-
-def cmd_rewrite(args) -> int:
+def cmd_two_factor(args) -> int:
+    """rewrite, swap and shift: normalize the word, then apply the
+    command's rewriter to each resulting word."""
     word = parse_word(args.word)
     if len(word) != 2:
-        raise ValueError("rewrite operates on two-factor words")
+        raise ValueError(f"{args.command} operates on two-factor words")
+    extra = ()
+    if args.command == "shift":
+        direction = args.direction
+        if direction == "auto":
+            direction = "left" if len(word[0]) > len(word[1]) else "right"
+        extra = (direction,)
     total = OpSum()
     for w, c in normalize({word: QRat.one()}).terms():
-        total = total + rewrite_dominant(w).scale(c)
-    _emit(args, str(total), _opsum_payload(total))
-    return 0
-
-
-def cmd_swap(args) -> int:
-    word = parse_word(args.word)
-    if len(word) != 2:
-        raise ValueError("swap operates on two-factor words")
-    total = OpSum()
-    for w, c in normalize({word: QRat.one()}).terms():
-        total = total + swap_factors(w).scale(c)
-    _emit(args, str(total), _opsum_payload(total))
-    return 0
-
-
-def cmd_shift(args) -> int:
-    word = parse_word(args.word)
-    if len(word) != 2:
-        raise ValueError("shift operates on two-factor words")
-    direction = args.direction
-    if direction == "auto":
-        direction = "left" if len(word[0]) > len(word[1]) else "right"
-    total = OpSum()
-    for w, c in normalize({word: QRat.one()}).terms():
-        total = total + shift_support(w, direction).scale(c)
-    _emit(args, str(total), _opsum_payload(total))
+        total = total + args.rewriter(w, *extra).scale(c)
+    _emit(args, str(total), total.to_json())
     return 0
 
 
@@ -504,16 +493,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rewrite", help="dominance-normalize a two-factor word")
     p.add_argument("--word", required=True, help="e.g. \"H[2,2]H[4,1]\"")
-    p.set_defaults(fn=cmd_rewrite)
+    p.set_defaults(fn=cmd_two_factor, rewriter=rewrite_dominant)
 
     p = sub.add_parser("swap", help="swap the factor lengths of a word")
     p.add_argument("--word", required=True)
-    p.set_defaults(fn=cmd_swap)
+    p.set_defaults(fn=cmd_two_factor, rewriter=swap_factors)
 
     p = sub.add_parser("shift", help="move one slot between the factors")
     p.add_argument("--word", required=True)
     p.add_argument("--direction", choices=("left", "right", "auto"), default="auto")
-    p.set_defaults(fn=cmd_shift)
+    p.set_defaults(fn=cmd_two_factor, rewriter=shift_support)
 
     p = sub.add_parser("eval", help="apply a word to a Schur function")
     p.add_argument("--word", required=True)

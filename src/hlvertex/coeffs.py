@@ -387,7 +387,7 @@ class QRat:
         return self._den
 
     def is_zero(self) -> bool:
-        return self._num.is_zero()
+        return not self._num._c
 
     def is_one(self) -> bool:
         return self._num.is_one() and self._den.is_one()
@@ -510,6 +510,22 @@ class QRat:
 _QR_ZERO = QRat._raw(_QP_ZERO, _QP_ONE)
 _QR_ONE = QRat._raw(_QP_ONE, _QP_ONE)
 _QR_Q = QRat._raw(_QP_Q, _QP_ONE)
+
+
+def _add_term(terms: dict, key, value) -> None:
+    """Add a QPoly or QRat value into terms[key], dropping the entry when
+    a sum cancels to zero; a new key takes the value as it is.  Kept
+    private so that namespace-level instrumentation leaves this inner-loop
+    helper to its callers' time."""
+    old = terms.get(key)
+    if old is None:
+        terms[key] = value
+        return
+    value = old + value
+    if value.is_zero():
+        del terms[key]
+    else:
+        terms[key] = value
 
 
 def _as_qrat(x) -> QRat:

@@ -15,6 +15,7 @@ import itertools
 import logging
 
 from .coeffs import QPoly
+from .memo import memo
 from .symfunc import one
 from .vertexop import apply_H_word
 from .weights import (
@@ -28,10 +29,6 @@ from .weights import (
 )
 
 log = logging.getLogger(__name__)
-
-_SERIES_CACHE: dict = {}
-_KOSTANT_CACHE: dict = {}
-_WORD_CACHE: dict = {}
 
 
 def shape_of(gamma) -> tuple:
@@ -71,16 +68,17 @@ def kostant_series(eta, d) -> QPoly:
     join the first tuple when the next block starts.  At each state the
     program enumerates how many units j takes from each source, shifts
     the count of the remaining positions by the units taken, and
-    memoizes per call.  Only nonzero series enter the module cache.
+    memoizes per call; results are memoized across calls too.
     """
     eta, d = tuple(eta), tuple(d)
-    n = sum(eta)
-    if len(d) != n:
+    if len(d) != sum(eta):
         raise ValueError("weight length must match the shape")
-    key = (eta, d)
-    cached = _SERIES_CACHE.get(key)
-    if cached is not None:
-        return cached
+    return _kostant_series(eta, d)
+
+
+@memo
+def _kostant_series(eta, d) -> QPoly:
+    n = sum(eta)
     prefix = list(itertools.accumulate(d))
     if (prefix and prefix[-1] != 0) or any(p < 0 for p in prefix):
         return QPoly.zero()
@@ -89,13 +87,13 @@ def kostant_series(eta, d) -> QPoly:
         block_end.extend([len(block_end) + size - 1] * size)
     # units leaving position j cross every cut from j to the end of its block
     cap = [min(prefix[j:block_end[j] + 1]) for j in range(n)]
-    memo: dict = {}
+    table: dict = {}
 
     def count(j: int, earlier: tuple, own: tuple) -> dict:
         if j == n:
             return {0: 1}
         state = (j, earlier, own)
-        found = memo.get(state)
+        found = table.get(state)
         if found is not None:
             return found
         need = max(0, -d[j])
@@ -130,13 +128,10 @@ def kostant_series(eta, d) -> QPoly:
         for (nxt_earlier, nxt_own, taken), ways in moves.items():
             for e, c in count(j + 1, nxt_earlier, nxt_own).items():
                 out[e + taken] = out.get(e + taken, 0) + ways * c
-        memo[state] = out
+        table[state] = out
         return out
 
-    out = QPoly(count(0, (), ()))
-    if not out.is_zero():
-        _SERIES_CACHE[key] = out
-    return out
+    return QPoly(count(0, (), ()))
 
 
 def _validate_key(lam, gamma):
@@ -170,15 +165,14 @@ def kostka_kostant(lam, gamma) -> QPoly:
     scan at that depth.  The sign is carried along: choosing a value adds
     the number of still-unused smaller values to the inversion count.
     """
-    lam, gamma, eta = _validate_key(lam, gamma)
-    key = (lam, gamma)
-    cached = _KOSTANT_CACHE.get(key)
-    if cached is not None:
-        return cached
+    return _kostka_kostant(*_validate_key(lam, gamma))
+
+
+@memo
+def _kostka_kostant(lam, gamma, eta) -> QPoly:
     n = sum(eta)
     flat = tuple(x for b in gamma for x in b)
     if sum(lam) != sum(flat):
-        _KOSTANT_CACHE[key] = QPoly.zero()
         return QPoly.zero()
     lam_rho = tuple(lam[i] + (n - 1 - i) for i in range(n))
     gamma_rho = tuple(flat[i] + (n - 1 - i) for i in range(n))
@@ -212,9 +206,7 @@ def kostka_kostant(lam, gamma) -> QPoly:
             smaller += 1
 
     walk(0, 0, 0, 0)
-    total = QPoly(coeffs)
-    _KOSTANT_CACHE[key] = total
-    return total
+    return QPoly(coeffs)
 
 
 def kostka_vertex(lam, gamma) -> QPoly:
@@ -225,7 +217,6 @@ def kostka_vertex(lam, gamma) -> QPoly:
     partition; the polynomial is invariant under that shift.
     """
     lam, gamma, eta = _validate_key(lam, gamma)
-    n = sum(eta)
     flat = tuple(x for b in gamma for x in b)
     if sum(lam) != sum(flat):
         return QPoly.zero()
@@ -233,17 +224,17 @@ def kostka_vertex(lam, gamma) -> QPoly:
     a = max(0, -min(lows))
     lam_s = tuple(x + a for x in lam)
     gamma_s = tuple(tuple(x + a for x in b) for b in gamma)
-    word_key = gamma_s
-    series = _WORD_CACHE.get(word_key)
-    if series is None:
-        series = apply_H_word(gamma_s, one())
-        _WORD_CACHE[word_key] = series
-    coeff = series.coefficient(trim_zeros(lam_s))
+    coeff = _word_on_one(gamma_s).coefficient(trim_zeros(lam_s))
     poly = coeff.integral_polynomial()
     if poly is None:
         raise ArithmeticError(
             f"vertex engine produced a non-polynomial value for {lam}, {gamma}")
     return poly
+
+
+@memo
+def _word_on_one(gamma):
+    return apply_H_word(gamma, one())
 
 
 def kostka(lam, gamma, method: str = "both") -> QPoly:

@@ -19,10 +19,14 @@ the evaluator, which is an independent oracle.
 
 from __future__ import annotations
 
-from .coeffs import QPoly, QRat
+from types import MappingProxyType
+
+from .coeffs import QPoly, QRat, _add_term
+from .memo import memo
 from .symfunc import SCHUR, SymFunc, format_linear, schur
-from .vertexop import apply_H
+from .vertexop import apply_H_any
 from .weights import (
+    conjugate,
     is_dominant,
     partitions_of,
     straighten,
@@ -39,6 +43,13 @@ def _as_word(word) -> tuple:
 
 def _minus_q_power(j: int) -> QRat:
     return QRat(QPoly.monomial(j, (-1) ** j))
+
+
+def _opsum(terms: dict) -> "OpSum":
+    """An OpSum over already straightened, nonzero terms."""
+    out = OpSum.__new__(OpSum)
+    out._terms = terms
+    return out
 
 
 class OpSum:
@@ -75,20 +86,11 @@ class OpSum:
     def __add__(self, other):
         t = dict(self._terms)
         for w, c in other._terms.items():
-            s = t.get(w)
-            s = c if s is None else s + c
-            if s.is_zero():
-                t.pop(w, None)
-            else:
-                t[w] = s
-        out = OpSum.__new__(OpSum)
-        out._terms = t
-        return out
+            _add_term(t, w, c)
+        return _opsum(t)
 
     def __neg__(self):
-        out = OpSum.__new__(OpSum)
-        out._terms = {w: -c for w, c in self._terms.items()}
-        return out
+        return _opsum({w: -c for w, c in self._terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -96,9 +98,7 @@ class OpSum:
     def scale(self, c) -> "OpSum":
         if not isinstance(c, QRat):
             c = QRat(c)
-        out = OpSum.__new__(OpSum)
-        out._terms = {} if c.is_zero() else {w: v * c for w, v in self._terms.items()}
-        return out
+        return _opsum({} if c.is_zero() else {w: v * c for w, v in self._terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, OpSum):
@@ -139,17 +139,8 @@ def normalize(raw: dict) -> OpSum:
             blocks.append(dom)
         if sign == 0:
             continue
-        key = tuple(blocks)
-        v = c if sign > 0 else -c
-        s = out.get(key)
-        s = v if s is None else s + v
-        if s.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = s
-    result = OpSum.__new__(OpSum)
-    result._terms = out
-    return result
+        _add_term(out, tuple(blocks), c if sign > 0 else -c)
+    return _opsum(out)
 
 
 # -- word notation --------------------------------------------------------
@@ -188,11 +179,6 @@ def parse_word(text: str) -> tuple:
 # -- relation generators ---------------------------------------------------
 
 
-def _add(raw: dict, word, coeff: QRat):
-    s = raw.get(word)
-    raw[word] = coeff if s is None else s + coeff
-
-
 def _com1_relation(mu, a: int, b: int, nu) -> OpSum:
     """Four-term strip relation; specializing b = a+1 collapses it to the
     two-term one.  The returned sum is the zero operator."""
@@ -203,10 +189,10 @@ def _com1_relation(mu, a: int, b: int, nu) -> OpSum:
             jb = sum(nu) - sum(beta)
             c = _minus_q_power(ja + jb)
             qc = c * QRat.q()
-            _add(raw, (alpha + (a + jb,), (b - ja,) + beta), c)
-            _add(raw, (alpha + (a + jb + 1,), (b - ja - 1,) + beta), -qc)
-            _add(raw, (alpha + (b + jb,), (a - ja,) + beta), -qc)
-            _add(raw, (alpha + (b + jb - 1,), (a - ja + 1,) + beta), c)
+            _add_term(raw, (alpha + (a + jb,), (b - ja,) + beta), c)
+            _add_term(raw, (alpha + (a + jb + 1,), (b - ja - 1,) + beta), -qc)
+            _add_term(raw, (alpha + (b + jb,), (a - ja,) + beta), -qc)
+            _add_term(raw, (alpha + (b + jb - 1,), (a - ja + 1,) + beta), c)
     return normalize(raw)
 
 
@@ -217,8 +203,8 @@ def _com2_relation(mu, a: int, nu) -> OpSum:
         for beta in vertical_strip_shrink(nu):
             jb = sum(nu) - sum(beta)
             c = _minus_q_power(ja + jb)
-            _add(raw, (alpha + (a + jb,), (a + 1 - ja,) + beta), c)
-            _add(raw, (alpha + (a + jb + 1,), (a - ja,) + beta), -(c * QRat.q()))
+            _add_term(raw, (alpha + (a + jb,), (a + 1 - ja,) + beta), c)
+            _add_term(raw, (alpha + (a + jb + 1,), (a - ja,) + beta), -(c * QRat.q()))
     return normalize(raw)
 
 
@@ -228,10 +214,10 @@ def _move_relation(mu, a: int, nu) -> OpSum:
     mu, nu = tuple(mu), tuple(nu)
     for beta in vertical_strip_shrink(nu):
         jb = sum(nu) - sum(beta)
-        _add(raw, (mu + (a + jb,), beta), _minus_q_power(jb))
+        _add_term(raw, (mu + (a + jb,), beta), _minus_q_power(jb))
     for alpha in vertical_strip_grow(mu):
         ja = sum(alpha) - sum(mu)
-        _add(raw, (alpha, (a - ja,) + nu), -_minus_q_power(ja))
+        _add_term(raw, (alpha, (a - ja,) + nu), -_minus_q_power(ja))
     return normalize(raw)
 
 
@@ -240,29 +226,14 @@ def _box_partitions(max_len: int, max_part: int):
         yield from partitions_of(d, max_len=max_len, max_part=max_part)
 
 
-def _conjugate(theta) -> tuple:
-    if not theta:
-        return ()
-    return tuple(sum(1 for part in theta if part > j) for j in range(theta[0]))
-
-
-_SSYT_CACHE: dict = {}
-
-
-def _ssyt_contents(theta, nvars: int) -> dict:
+@memo
+def _ssyt_contents(theta, nvars: int) -> MappingProxyType:
     """Content vectors (length nvars) with multiplicity, over semistandard
     fillings of theta with entries at most nvars."""
-    key = (theta, nvars)
-    cached = _SSYT_CACHE.get(key)
-    if cached is not None:
-        return cached
     if not theta:
-        out = {(0,) * nvars: 1}
-        _SSYT_CACHE[key] = out
-        return out
+        return MappingProxyType({(0,) * nvars: 1})
     if len(theta) > nvars:
-        _SSYT_CACHE[key] = {}
-        return {}
+        return MappingProxyType({})
     out: dict = {}
     rows: list = []
 
@@ -294,8 +265,7 @@ def _ssyt_contents(theta, nvars: int) -> dict:
         cell(0)
 
     fill(0)
-    _SSYT_CACHE[key] = out
-    return out
+    return MappingProxyType(out)
 
 
 def _bigmove_relation(alpha, beta, gamma) -> OpSum:
@@ -309,20 +279,20 @@ def _bigmove_relation(alpha, beta, gamma) -> OpSum:
     raw: dict = {}
     for theta in _box_partitions(l, k):
         c = _minus_q_power(sum(theta))
-        theta_c = _conjugate(theta)
+        theta_c = conjugate(theta)
         for mv, c1 in _ssyt_contents(theta, l).items():
             first = alpha + tuple(beta[i] + mv[i] for i in range(l))
             for mz, c2 in _ssyt_contents(theta_c, k).items():
                 second = tuple(gamma[i] - mz[i] for i in range(k))
-                _add(raw, (first, second), c * (c1 * c2))
+                _add_term(raw, (first, second), c * (c1 * c2))
     for theta in _box_partitions(k, l):
         c = _minus_q_power(sum(theta))
-        theta_c = _conjugate(theta)
+        theta_c = conjugate(theta)
         for mu_, c1 in _ssyt_contents(theta, k).items():
             first = tuple(alpha[i] + mu_[i] for i in range(k))
             for mv2, c2 in _ssyt_contents(theta_c, l).items():
                 second = tuple(beta[i] - mv2[i] for i in range(l)) + gamma
-                _add(raw, (first, second), -(c * (c1 * c2)))
+                _add_term(raw, (first, second), -(c * (c1 * c2)))
     return normalize(raw)
 
 
@@ -348,12 +318,7 @@ def evaluate_word(word, f: SymFunc) -> SymFunc:
     """Apply a word of arbitrary integer blocks, rightmost first."""
     out = f
     for block in reversed(_as_word(word)):
-        sign, dom = straighten(block)
-        if sign == 0:
-            return SymFunc.zero(SCHUR)
-        out = apply_H(dom, out)
-        if sign < 0:
-            out = -out
+        out = apply_H_any(block, out)
     return out
 
 
@@ -409,11 +374,58 @@ def _replacement(rel: OpSum, word) -> dict:
     return {w: -(c / c0) for w, c in rel._terms.items() if w != word}
 
 
-def _assert_integral(terms: dict, what: str) -> None:
-    for w, c in terms.items():
+def _eliminate(word, name: str, relation, finished, measure,
+               increasing: bool = False) -> OpSum:
+    """The worklist shared by the rewriting algorithms.
+
+    Words for which finished(w) holds collect in the result.  Each step
+    takes the unfinished word with the largest (measure, word), or the
+    smallest when the measure must increase, solves relation(current) == 0
+    for it and substitutes.  Every unfinished word so produced must keep
+    the factor lengths of the input and move the measure strictly in its
+    direction, which is checked as a hard termination guard, besides a
+    step budget.  The result must have coefficients in Z[q].
+    """
+    shape = (len(word[0]), len(word[1]))
+    pending: dict = {}
+    done: dict = {}
+    (done if finished(word) else pending)[word] = QRat.one()
+    pick, way = (min, "increase") if increasing else (max, "decrease")
+    steps = 0
+    while pending:
+        current = pick(pending, key=lambda w: (measure(w), w))
+        coeff = pending.pop(current)
+        steps += 1
+        if steps > _MAX_STEPS:
+            raise RuntimeError(f"{name} exceeded the step budget")
+        m = measure(current)
+        for w, c in _replacement(relation(current), current).items():
+            if finished(w):
+                _add_term(done, w, coeff * c)
+                continue
+            lengths = (len(w[0]), len(w[1]))
+            if lengths != shape:
+                raise RuntimeError(f"unexpected factor lengths {lengths}")
+            if (measure(w) <= m) if increasing else (measure(w) >= m):
+                raise RuntimeError(
+                    f"termination measure failed to {way} at {format_word(w)}")
+            _add_term(pending, w, coeff * c)
+    for w, c in done.items():
         if c.integral_polynomial() is None:
             raise RuntimeError(
-                f"{what} produced a non-polynomial coefficient {c} at {format_word(w)}")
+                f"{name} produced a non-polynomial coefficient {c} at {format_word(w)}")
+    return _opsum(done)
+
+
+def _strip_relation(word) -> OpSum:
+    """The strip relation eliminating the junction of a two-factor word:
+    com2 when the head of the second factor exceeds the tail of the first
+    by one, com1 otherwise."""
+    f1, f2 = word
+    a, b = f1[-1], f2[0]
+    if b == a + 1:
+        return _com2_relation(f1[:-1], a, f2[1:])
+    return _com1_relation(f1[:-1], a, b, f2[1:])
 
 
 def rewrite_dominant(word) -> OpSum:
@@ -425,49 +437,9 @@ def rewrite_dominant(word) -> OpSum:
     a strip relation; the gap strictly decreases, which is checked as a
     hard termination guard.
     """
-    word = _check_two_dominant_factors(word)
-    pending: dict = {word: QRat.one()}
-    done: dict = {}
-    steps = 0
-    while pending:
-        nondom = [w for w in pending if not _concat_dominant(w)]
-        if not nondom:
-            for w, c in pending.items():
-                s = done.get(w)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    done.pop(w, None)
-                else:
-                    done[w] = s
-            break
-        current = max(nondom, key=lambda w: (w[1][0] - w[0][-1], w))
-        coeff = pending.pop(current)
-        if coeff.is_zero():
-            continue
-        steps += 1
-        if steps > _MAX_STEPS:
-            raise RuntimeError("rewrite_dominant exceeded the step budget")
-        f1, f2 = current
-        a, b = f1[-1], f2[0]
-        measure = b - a
-        if b == a + 1:
-            rel = _com2_relation(f1[:-1], a, f2[1:])
-        else:
-            rel = _com1_relation(f1[:-1], a, b, f2[1:])
-        for w, c in _replacement(rel, current).items():
-            if not _concat_dominant(w) and w[1][0] - w[0][-1] >= measure:
-                raise RuntimeError(
-                    f"termination measure failed to decrease at {format_word(w)}")
-            s = pending.get(w)
-            s = coeff * c if s is None else s + coeff * c
-            if s.is_zero():
-                pending.pop(w, None)
-            else:
-                pending[w] = s
-    _assert_integral(done, "rewrite_dominant")
-    out = OpSum.__new__(OpSum)
-    out._terms = done
-    return out
+    return _eliminate(_check_two_dominant_factors(word), "rewrite_dominant",
+                      _strip_relation, _concat_dominant,
+                      lambda w: w[1][0] - w[0][-1])
 
 
 def shift_support(word, direction: str) -> OpSum:
@@ -500,44 +472,8 @@ def shift_support(word, direction: str) -> OpSum:
         def relation(w):
             return _move_relation(w[0], w[1][0], w[1][1:])
 
-    pending: dict = {word: QRat.one()}
-    done: dict = {}
-    steps = 0
-    while pending:
-        current = max(pending, key=lambda w: (measure(w), w))
-        coeff = pending.pop(current)
-        if coeff.is_zero():
-            continue
-        steps += 1
-        if steps > _MAX_STEPS:
-            raise RuntimeError("shift_support exceeded the step budget")
-        m = measure(current)
-        for w, c in _replacement(relation(current), current).items():
-            lengths = (len(w[0]), len(w[1]))
-            v = coeff * c
-            if lengths == target:
-                s = done.get(w)
-                s = v if s is None else s + v
-                if s.is_zero():
-                    done.pop(w, None)
-                else:
-                    done[w] = s
-            elif lengths == (p, r):
-                if measure(w) >= m:
-                    raise RuntimeError(
-                        f"termination measure failed to decrease at {format_word(w)}")
-                s = pending.get(w)
-                s = v if s is None else s + v
-                if s.is_zero():
-                    pending.pop(w, None)
-                else:
-                    pending[w] = s
-            else:
-                raise RuntimeError(f"unexpected factor lengths {lengths}")
-    _assert_integral(done, "shift_support")
-    out = OpSum.__new__(OpSum)
-    out._terms = done
-    return out
+    return _eliminate(word, "shift_support", relation,
+                      lambda w: (len(w[0]), len(w[1])) == target, measure)
 
 
 def swap_factors(word) -> OpSum:
@@ -550,51 +486,12 @@ def swap_factors(word) -> OpSum:
     if p == r:
         return OpSum({word: QRat.one()})
     if p > r:
-        k, l = r, p - r
-
         def relation(w):
-            return _bigmove_relation(w[0][:k], w[0][k:], w[1])
+            return _bigmove_relation(w[0][:r], w[0][r:], w[1])
     else:
-        k, l = p, r - p
-
         def relation(w):
-            return _bigmove_relation(w[0], w[1][:l], w[1][l:])
+            return _bigmove_relation(w[0], w[1][:r - p], w[1][r - p:])
 
-    pending: dict = {word: QRat.one()}
-    done: dict = {}
-    steps = 0
-    while pending:
-        current = min(pending, key=lambda w: (sum(w[0]), w))
-        coeff = pending.pop(current)
-        if coeff.is_zero():
-            continue
-        steps += 1
-        if steps > _MAX_STEPS:
-            raise RuntimeError("swap_factors exceeded the step budget")
-        first_weight = sum(current[0])
-        for w, c in _replacement(relation(current), current).items():
-            lengths = (len(w[0]), len(w[1]))
-            v = coeff * c
-            if lengths == (r, p):
-                s = done.get(w)
-                s = v if s is None else s + v
-                if s.is_zero():
-                    done.pop(w, None)
-                else:
-                    done[w] = s
-            elif lengths == (p, r):
-                if sum(w[0]) <= first_weight:
-                    raise RuntimeError(
-                        f"termination measure failed to increase at {format_word(w)}")
-                s = pending.get(w)
-                s = v if s is None else s + v
-                if s.is_zero():
-                    pending.pop(w, None)
-                else:
-                    pending[w] = s
-            else:
-                raise RuntimeError(f"unexpected factor lengths {lengths}")
-    _assert_integral(done, "swap_factors")
-    out = OpSum.__new__(OpSum)
-    out._terms = done
-    return out
+    return _eliminate(word, "swap_factors", relation,
+                      lambda w: (len(w[0]), len(w[1])) == (r, p),
+                      lambda w: sum(w[0]), increasing=True)

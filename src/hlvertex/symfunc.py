@@ -5,16 +5,19 @@ by partitions, in either the Schur basis ("schur") or the power-sum basis
 ("powersum").  Basis conversion goes through symmetric-group characters
 computed by the Murnaghan-Nakayama recursion; Schur-basis products and
 skews go through Littlewood-Richardson expansions enumerated directly on
-tableaux.  All caches are module-level dicts with idempotent inserts, so
-concurrent readers at worst duplicate work.
+tableaux.  Characters, basis changes and expansions are memoized with
+hlvertex.memo; the expansions come back as read-only mappings, so no
+caller can alter a cached value.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from types import MappingProxyType
 
-from .coeffs import QPoly, QRat
+from .coeffs import QPoly, QRat, _add_term
+from .memo import memo
 from .weights import is_dominant, partitions_of, trim_zeros
 
 SCHUR = "schur"
@@ -37,9 +40,6 @@ def _norm_basis(b: str) -> str:
 # Symmetric group characters (Murnaghan-Nakayama via beta numbers)
 # ----------------------------------------------------------------------
 
-_CHAR_CACHE: dict = {}
-
-
 def symmetric_group_character(lam, mu) -> int:
     """chi^lam(mu) for partitions of the same size."""
     lam, mu = trim_zeros(lam), trim_zeros(mu)
@@ -48,30 +48,23 @@ def symmetric_group_character(lam, mu) -> int:
     return _char(lam, mu)
 
 
+@memo
 def _char(lam, mu) -> int:
-    key = (lam, mu)
-    cached = _CHAR_CACHE.get(key)
-    if cached is not None:
-        return cached
     if not mu:
-        val = 1 if not lam else 0
-    else:
-        r, rest = mu[0], mu[1:]
-        L = len(lam)
-        beta = [lam[i] + (L - 1 - i) for i in range(L)]
-        bset = set(beta)
-        val = 0
-        for i in range(L):
-            nb = beta[i] - r
-            if nb < 0 or nb in bset:
-                continue
-            height = sum(1 for x in beta if nb < x < beta[i])
-            newbeta = sorted((x for x in beta if x != beta[i]), reverse=True)
-            newbeta.append(nb)
-            newbeta.sort(reverse=True)
-            newlam = trim_zeros(tuple(newbeta[j] - (L - 1 - j) for j in range(L)))
-            val += (-1) ** height * _char(newlam, rest)
-    _CHAR_CACHE[key] = val
+        return 1 if not lam else 0
+    r, rest = mu[0], mu[1:]
+    L = len(lam)
+    beta = [lam[i] + (L - 1 - i) for i in range(L)]
+    bset = set(beta)
+    val = 0
+    for i in range(L):
+        nb = beta[i] - r
+        if nb < 0 or nb in bset:
+            continue
+        height = sum(1 for x in beta if nb < x < beta[i])
+        newbeta = sorted([x for x in beta if x != beta[i]] + [nb], reverse=True)
+        newlam = trim_zeros(tuple(newbeta[j] - (L - 1 - j) for j in range(L)))
+        val += (-1) ** height * _char(newlam, rest)
     return val
 
 
@@ -85,56 +78,41 @@ def z_of(mu) -> int:
     return out
 
 
-_S2P_CACHE: dict = {}
-_P2S_CACHE: dict = {}
+@memo
+def _schur_to_p(lam) -> MappingProxyType:
+    out = {}
+    for mu in partitions_of(sum(lam)):
+        chi = _char(lam, mu)
+        if chi:
+            out[mu] = QRat(QPoly.const(chi), QPoly.const(z_of(mu)))
+    return MappingProxyType(out)
 
 
-def _schur_to_p(lam) -> dict:
-    cached = _S2P_CACHE.get(lam)
-    if cached is None:
-        n = sum(lam)
-        cached = {}
-        for mu in partitions_of(n):
-            chi = _char(lam, mu)
-            if chi:
-                cached[mu] = QRat(QPoly.const(chi), QPoly.const(z_of(mu)))
-        _S2P_CACHE[lam] = cached
-    return cached
-
-
-def _p_to_schur(mu) -> dict:
-    cached = _P2S_CACHE.get(mu)
-    if cached is None:
-        n = sum(mu)
-        cached = {}
-        for lam in partitions_of(n):
-            chi = _char(lam, mu)
-            if chi:
-                cached[lam] = chi
-        _P2S_CACHE[mu] = cached
-    return cached
+@memo
+def _p_to_schur(mu) -> MappingProxyType:
+    out = {}
+    for lam in partitions_of(sum(mu)):
+        chi = _char(lam, mu)
+        if chi:
+            out[lam] = chi
+    return MappingProxyType(out)
 
 
 # ----------------------------------------------------------------------
 # Littlewood-Richardson machinery
 # ----------------------------------------------------------------------
 
-_SKEW_CACHE: dict = {}
-_PROD_CACHE: dict = {}
-
-
-def skew_schur_expansion(lam, mu) -> dict:
+def skew_schur_expansion(lam, mu) -> MappingProxyType:
     """Expansion coefficients {kappa: c^lam_{mu,kappa}} of the skew Schur
     function for the shape lam/mu, by direct enumeration of ballot
     column-strict fillings."""
-    lam, mu = trim_zeros(lam), trim_zeros(mu)
-    key = (lam, mu)
-    cached = _SKEW_CACHE.get(key)
-    if cached is not None:
-        return cached
+    return _skew_schur(trim_zeros(lam), trim_zeros(mu))
+
+
+@memo
+def _skew_schur(lam, mu) -> MappingProxyType:
     if len(mu) > len(lam) or any(mu[i] > lam[i] for i in range(len(mu))):
-        _SKEW_CACHE[key] = {}
-        return {}
+        return MappingProxyType({})
     mu_full = mu + (0,) * (len(lam) - len(mu))
     # cells in reverse reading order: rows top to bottom, right to left
     cells = []
@@ -142,11 +120,9 @@ def skew_schur_expansion(lam, mu) -> dict:
         for j in range(lam[i] - 1, mu_full[i] - 1, -1):
             cells.append((i, j))
     ncells = len(cells)
-    out: dict = {}
     if ncells == 0:
-        out[()] = 1
-        _SKEW_CACHE[key] = out
-        return out
+        return MappingProxyType({(): 1})
+    out: dict = {}
     values = {}
     counts = [0] * (len(lam) + 2)  # counts[v] = number of v's placed so far; v <= row index + 1
 
@@ -177,20 +153,20 @@ def skew_schur_expansion(lam, mu) -> dict:
         values.pop((i, j), None)
 
     place(0)
-    _SKEW_CACHE[key] = out
-    return out
+    return MappingProxyType(out)
 
 
-def schur_product_expansion(mu, nu) -> dict:
+def schur_product_expansion(mu, nu) -> MappingProxyType:
     """Expansion {lam: c^lam_{mu,nu}} of a product of two Schur functions,
     by growing ballot chains of horizontal strips on top of mu."""
     mu, nu = trim_zeros(mu), trim_zeros(nu)
     if (len(nu), nu) < (len(mu), mu):
         mu, nu = nu, mu  # symmetric; canonical cache key
-    key = (mu, nu)
-    cached = _PROD_CACHE.get(key)
-    if cached is not None:
-        return cached
+    return _schur_product(mu, nu)
+
+
+@memo
+def _schur_product(mu, nu) -> MappingProxyType:
     maxlen = len(mu) + len(nu)
     shape = list(mu) + [0] * (maxlen - len(mu))
     out: dict = {}
@@ -231,8 +207,7 @@ def schur_product_expansion(mu, nu) -> dict:
         fill_row(0, nu[r], 0)
 
     add_value(0, [0] * (maxlen + 1))
-    _PROD_CACHE[key] = out
-    return out
+    return MappingProxyType(out)
 
 
 def lr_coefficient(lam, mu, nu) -> int:
@@ -331,22 +306,11 @@ class SymFunc:
             other = convert(other, self.basis)
         t = dict(self._terms)
         for idx, c in other._terms.items():
-            s = t.get(idx)
-            s = c if s is None else s + c
-            if s.is_zero():
-                t.pop(idx, None)
-            else:
-                t[idx] = s
-        out = SymFunc.__new__(SymFunc)
-        out.basis, out._terms, out._hash = self.basis, t, None
-        return out
+            _add_term(t, idx, c)
+        return _symfunc(self.basis, t)
 
     def __neg__(self):
-        out = SymFunc.__new__(SymFunc)
-        out.basis = self.basis
-        out._terms = {idx: -c for idx, c in self._terms.items()}
-        out._hash = None
-        return out
+        return _symfunc(self.basis, {idx: -c for idx, c in self._terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -356,11 +320,7 @@ class SymFunc:
             c = QRat(c)
         if c.is_zero():
             return SymFunc(self.basis)
-        out = SymFunc.__new__(SymFunc)
-        out.basis = self.basis
-        out._terms = {idx: v * c for idx, v in self._terms.items()}
-        out._hash = None
-        return out
+        return _symfunc(self.basis, {idx: v * c for idx, v in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, SymFunc):
@@ -402,6 +362,13 @@ class SymFunc:
             "terms": [{"index": list(idx), "coeff": c.to_json()}
                       for idx, c in self.terms()],
         }
+
+
+def _symfunc(basis: str, terms: dict) -> SymFunc:
+    """A SymFunc over trimmed indices with nonzero coefficients."""
+    out = SymFunc.__new__(SymFunc)
+    out.basis, out._terms, out._hash = basis, terms, None
+    return out
 
 
 def format_linear(pairs) -> str:
@@ -487,15 +454,11 @@ def convert(f: SymFunc, target: str) -> SymFunc:
     if target == POWERSUM:
         for lam, c in f._terms.items():
             for mu, r in _schur_to_p(lam).items():
-                s = out.get(mu)
-                s = c * r if s is None else s + c * r
-                out[mu] = s
+                _add_term(out, mu, c * r)
     else:
         for mu, c in f._terms.items():
             for lam, chi in _p_to_schur(mu).items():
-                s = out.get(lam)
-                s = c * chi if s is None else s + c * chi
-                out[lam] = s
+                _add_term(out, lam, c * chi)
     return SymFunc(target, out)
 
 
@@ -506,10 +469,7 @@ def multiply(f: SymFunc, g: SymFunc) -> SymFunc:
         out: dict = {}
         for m1, c1 in f._terms.items():
             for m2, c2 in g._terms.items():
-                idx = tuple(sorted(m1 + m2, reverse=True))
-                c = c1 * c2
-                s = out.get(idx)
-                out[idx] = c if s is None else s + c
+                _add_term(out, tuple(sorted(m1 + m2, reverse=True)), c1 * c2)
         return SymFunc(POWERSUM, out)
     fs, gs = convert(f, SCHUR), convert(g, SCHUR)
     out = {}
@@ -517,9 +477,7 @@ def multiply(f: SymFunc, g: SymFunc) -> SymFunc:
         for m2, c2 in gs._terms.items():
             c = c1 * c2
             for lam, mult in schur_product_expansion(m1, m2).items():
-                s = out.get(lam)
-                t = c * mult
-                out[lam] = t if s is None else s + t
+                _add_term(out, lam, c * mult)
     return SymFunc(SCHUR, out)
 
 
@@ -551,9 +509,7 @@ def skew(f: SymFunc, g: SymFunc) -> SymFunc:
                     continue
                 c = cf * cg
                 for kappa, mult in skew_schur_expansion(lam, mu).items():
-                    s = out.get(kappa)
-                    t = c * mult
-                    out[kappa] = t if s is None else s + t
+                    _add_term(out, kappa, c * mult)
         return SymFunc(SCHUR, out)
     fp, gp = convert(f, POWERSUM), convert(g, POWERSUM)
     out = {}
@@ -571,10 +527,7 @@ def skew(f: SymFunc, g: SymFunc) -> SymFunc:
                 target.remove(part)
             if not ok:
                 continue
-            idx = tuple(sorted(target, reverse=True))
-            c = cf * cg * factor
-            s = out.get(idx)
-            out[idx] = c if s is None else s + c
+            _add_term(out, tuple(sorted(target, reverse=True)), cf * cg * factor)
     return SymFunc(POWERSUM, out)
 
 
@@ -597,9 +550,7 @@ def elementary_perp(k: int, f: SymFunc) -> SymFunc:
                 mu[i] -= 1
             if any(mu[i] < mu[i + 1] for i in range(L - 1)) or (mu and mu[-1] < 0):
                 continue
-            idx = trim_zeros(tuple(mu))
-            s = out.get(idx)
-            out[idx] = c if s is None else s + c
+            _add_term(out, trim_zeros(tuple(mu)), c)
     return SymFunc(SCHUR, out)
 
 
@@ -657,9 +608,7 @@ def plethysm_substitute(f: SymFunc, subst: PowerSumSubst) -> SymFunc:
     for mu, c in fp._terms.items():
         for part in mu:
             c = c * subst.phi(part)
-        idx = mu if subst.variables else ()
-        s = out.get(idx)
-        out[idx] = c if s is None else s + c
+        _add_term(out, mu if subst.variables else (), c)
     result = SymFunc(POWERSUM, out)
     return convert(result, f.basis)
 

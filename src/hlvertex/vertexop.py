@@ -13,7 +13,8 @@ obtained by conjugating with the plethystic twist X -> X(1-q).
 
 from __future__ import annotations
 
-from .coeffs import QPoly, QRat
+from .coeffs import QPoly, QRat, _add_term
+from .memo import memo
 from .symfunc import (
     SCHUR,
     SymFunc,
@@ -34,20 +35,12 @@ from .weights import (
     trim_zeros,
 )
 
-_PAIRS_CACHE: dict = {}
-_ALPHABET_CACHE: dict = {}
-_APPLY_CACHE: dict = {}
-
-
+@memo
 def _expansion_pairs(nu, mu):
     """The (lam, cbar(lam; mu, nu)) pairs with cbar > 0, for a dominant nu
     of length k and a partition mu with at most k parts.  Computed from
     the product of Schur functions after shifting nu by a power of the
     determinant character; only lam that are partitions survive."""
-    key = (nu, mu)
-    cached = _PAIRS_CACHE.get(key)
-    if cached is not None:
-        return cached
     k = len(nu)
     m = max(0, -nu[-1])
     nu_shift = trim_zeros(tuple(x + m for x in nu))
@@ -63,11 +56,10 @@ def _expansion_pairs(nu, mu):
         else:
             lam = kappa
         out.append((lam, c))
-    out = tuple(out)
-    _PAIRS_CACHE[key] = out
-    return out
+    return tuple(out)
 
 
+@memo
 def _schur_alphabet_qm1(mu) -> SymFunc:
     """s_mu[X(q-1)] expanded in the Schur basis (cached).
 
@@ -75,9 +67,6 @@ def _schur_alphabet_qm1(mu) -> SymFunc:
     subdiagrams nu of mu of q^|nu| (-1)^{|mu|-|nu|} s_nu times the
     conjugated skew Schur function of mu/nu, so the whole expansion is
     integer Littlewood-Richardson combinatorics."""
-    cached = _ALPHABET_CACHE.get(mu)
-    if cached is not None:
-        return cached
     mu_c = conjugate(mu)
     size = sum(mu)
     acc: dict = {}
@@ -89,14 +78,7 @@ def _schur_alphabet_qm1(mu) -> SymFunc:
             for tau, c2 in schur_product_expansion(nu, kappa).items():
                 slot = acc.setdefault(tau, {})
                 slot[e] = slot.get(e, 0) + c1s * c2
-    terms = {}
-    for tau, slot in acc.items():
-        poly = QPoly(slot)
-        if not poly.is_zero():
-            terms[tau] = QRat(poly)
-    cached = SymFunc(SCHUR, terms)
-    _ALPHABET_CACHE[mu] = cached
-    return cached
+    return SymFunc(SCHUR, {tau: QRat(QPoly(slot)) for tau, slot in acc.items()})
 
 
 def apply_H(nu, f: SymFunc) -> SymFunc:
@@ -105,17 +87,16 @@ def apply_H(nu, f: SymFunc) -> SymFunc:
     nu = tuple(nu)
     if not is_dominant(nu):
         raise ValueError(f"{nu} is not dominant; use apply_H_any")
-    k = len(nu)
-    if k == 0 or f.is_zero():
+    if not nu or f.is_zero():
         return f
-    fs = convert(f, SCHUR)
-    key = (nu, fs)
-    cached = _APPLY_CACHE.get(key)
-    if cached is not None:
-        return cached
-    deg = fs.degree()
+    return _apply_H(nu, convert(f, SCHUR))
+
+
+@memo
+def _apply_H(nu, fs: SymFunc) -> SymFunc:
+    k = len(nu)
     acc: dict = {}
-    for d in range(deg + 1):
+    for d in range(fs.degree() + 1):
         for mu in partitions_of(d, max_len=k):
             pairs = _expansion_pairs(nu, mu)
             if not pairs:
@@ -127,16 +108,8 @@ def apply_H(nu, f: SymFunc) -> SymFunc:
                 for idx, cg in g._terms.items():
                     cc = cg * c
                     for kappa, mult in schur_product_expansion(lam, idx).items():
-                        t = cc * mult
-                        s = acc.get(kappa)
-                        s = t if s is None else s + t
-                        if s.is_zero():
-                            acc.pop(kappa, None)
-                        else:
-                            acc[kappa] = s
-    result = SymFunc(SCHUR, acc)
-    _APPLY_CACHE[key] = result
-    return result
+                        _add_term(acc, kappa, cc * mult)
+    return SymFunc(SCHUR, acc)
 
 
 def apply_H_any(v, f: SymFunc) -> SymFunc:

@@ -8,8 +8,6 @@ from __future__ import annotations
 
 import itertools
 
-Weight = tuple
-
 
 def rho(k: int) -> tuple:
     """The staircase (k-1, k-2, ..., 0)."""

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -122,12 +123,20 @@ class TestTableCommand:
             assert "--max-degree must be at least 1" in err
 
 
+def write_signed(entry, stored):
+    """Write an edited cache entry together with a digest that matches its
+    edited rows, so that only the Kostant recheck can catch the edit."""
+    rows = json.dumps(stored["rows"], sort_keys=True, separators=(",", ":"))
+    stored["sha256"] = hashlib.sha256(rows.encode()).hexdigest()
+    entry.write_text(json.dumps(stored), encoding="utf-8")
+
+
 class TestTableCache:
     ARGS = ("table", "--eta", "2,1", "--max-degree", "3", "--json")
 
-    def _entry(self, capsys, tmp_path, monkeypatch):
+    def _entry(self, capsys, tmp_path, monkeypatch, args=ARGS):
         monkeypatch.setenv("HLVERTEX_CACHE_DIR", str(tmp_path))
-        code, out, _ = run(capsys, *self.ARGS)
+        code, out, _ = run(capsys, *args)
         assert code == 0
         (entry,) = tmp_path.iterdir()
         return out, entry
@@ -147,20 +156,36 @@ class TestTableCache:
         fresh, entry = self._entry(capsys, tmp_path, monkeypatch)
         stored = json.loads(entry.read_text(encoding="utf-8"))
         stored["rows"][0]["K"] = {"7": 1}
-        entry.write_text(json.dumps(stored), encoding="utf-8")
+        write_signed(entry, stored)
         code, out, _ = run(capsys, *self.ARGS)
         assert code == 0 and out == fresh
         assert "disagrees with the Kostant engine" in caplog.text
         del stored["rows"][0]
-        entry.write_text(json.dumps(stored), encoding="utf-8")
+        write_signed(entry, stored)
         code, out, _ = run(capsys, *self.ARGS)
         assert code == 0 and out == fresh
         # equal as numbers but not as text: nothing read from disk is printed
         stored = json.loads(entry.read_text(encoding="utf-8"))
         stored["rows"][0]["lambda"] = [float(x) for x in stored["rows"][0]["lambda"]]
-        entry.write_text(json.dumps(stored), encoding="utf-8")
+        write_signed(entry, stored)
         code, out, _ = run(capsys, *self.ARGS)
         assert code == 0 and out == fresh
+
+    @pytest.mark.parametrize("method", ["kostant", "vertex", "both"])
+    def test_entry_not_matching_its_digest_is_a_miss(self, capsys, tmp_path,
+                                                      monkeypatch, caplog, method):
+        args = ("table", "--eta", "1,1", "--max-degree", "2", "--method", method)
+        fresh, entry = self._entry(capsys, tmp_path, monkeypatch, args)
+        text = entry.read_text(encoding="utf-8")
+        stored = json.loads(text)
+        (row,) = [r for r in stored["rows"] if r["K"] == {"1": 1}]
+        row["K"] = {"5": 3}
+        entry.write_text(json.dumps(stored), encoding="utf-8")
+        code, out, _ = run(capsys, *args)
+        assert code == 0 and out == fresh
+        assert "3*q^5" not in out
+        assert "rows do not match the stored digest" in caplog.text
+        assert entry.read_text(encoding="utf-8") == text
 
 
 class TestCheckCommand:

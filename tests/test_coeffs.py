@@ -1,9 +1,15 @@
 """Exact q-coefficient arithmetic."""
 
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+
+try:
+    import sympy
+except ImportError:  # the differential test below needs it
+    sympy = None
 
 from hlvertex.coeffs import (
     QPoly,
@@ -137,3 +143,49 @@ class TestQRatProperties:
     def test_hash_consistent_with_eq(self, a):
         b = QRat(a.num, a.den)
         assert a == b and hash(a) == hash(b)
+
+
+def to_sympy(p: QPoly, x):
+    return sum((v * x**e for e, v in p._c.items()), sympy.Integer(0))
+
+
+@pytest.mark.skipif(sympy is None, reason="sympy is not installed")
+class TestQRatAgainstSympy:
+    """QRat(num, den) against sympy.cancel on the same quotient."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(polys, nonzero_polys)
+    @example(QPoly({2: 1, 0: -1}), QPoly({1: 1, 0: -1}))  # common factor q-1
+    @example(QPoly({1: 2, 0: 2}), QPoly({2: 4, 1: 4}))  # content 2, factor q(q+1)
+    @example(QPoly({0: 3}), QPoly({0: 6, 1: -3}))  # negative leading coefficient
+    @example(QPoly({-1: 1}), QPoly({-3: 2, 2: 4}))  # Laurent parts on both sides
+    def test_canonical_form(self, num, den):
+        x = sympy.Symbol("q")
+        r = QRat(num, den)
+        p, d = sympy.cancel(to_sympy(num, x) / to_sympy(den, x)).as_numer_denom()
+        if p == 0:
+            assert r.is_zero() and r.den.is_one()
+            return
+        # the same function
+        assert sympy.cancel(to_sympy(r.num, x) / to_sympy(r.den, x) - p / d) == 0
+        # the denominator is a polynomial with a nonzero constant term and a
+        # positive leading coefficient
+        assert r.den.valuation() == 0
+        assert r.den.leading_coeff() > 0
+        # no common factor: gcd removed, integer content stripped
+        top = to_sympy(r.num.shifted(-r.num.valuation()), x)
+        assert sympy.degree(sympy.gcd(top, to_sympy(r.den, x)), x) == 0
+        assert math.gcd(r.num.content(), r.den.content()) == 1
+        # sympy's reduced denominator, without its power of q and rescaled to
+        # the same normalization, is exactly ours
+        d_poly = sympy.Poly(d, x)
+        shift = min(e for (e,) in d_poly.monoms())
+        d_poly = sympy.Poly(sympy.expand(d / x**shift), x)
+        p_poly = sympy.Poly(sympy.expand(p), x)
+        g = math.gcd(*[int(c) for c in p_poly.coeffs() + d_poly.coeffs()])
+        if d_poly.LC() < 0:
+            g = -g
+        want_den = {e: int(c) // g for (e,), c in d_poly.terms()}
+        want_num = {e - shift: int(c) // g for (e,), c in p_poly.terms()}
+        assert r.den._c == want_den
+        assert r.num._c == want_num

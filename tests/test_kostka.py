@@ -2,11 +2,13 @@
 
 import itertools
 import random
-import sys
+import types
 from fractions import Fraction
 
 import pytest
 
+import hlvertex
+import hlvertex.kostka as kostka_module
 from hlvertex.coeffs import QPoly
 from hlvertex.kostka import (
     blocked_weights,
@@ -20,6 +22,7 @@ from hlvertex.kostka import (
     kostka_vertex,
     roots_set,
 )
+from hlvertex.memo import clear_caches
 from hlvertex.symfunc import multiply, one, schur, specialize_q
 from hlvertex.weights import pad_zeros, partitions_of, trim_zeros
 
@@ -162,15 +165,13 @@ class TestEngines:
             assert kostka_kostant(lam, gamma) == permutation_sum(lam, gamma)
 
     def test_walk_reaches_only_nonzero_series(self, monkeypatch):
-        # the package re-exports the function kostka under the module's name
-        kostka_module = sys.modules["hlvertex.kostka"]
         leaves = []
 
         def recording(eta, d):
             leaves.append(kostant_series(eta, d))
             return leaves[-1]
 
-        monkeypatch.setattr(kostka_module, "_KOSTANT_CACHE", {})
+        clear_caches()
         monkeypatch.setattr(kostka_module, "kostant_series", recording)
         for eta in compositions(4):
             for d in range(0, 6):
@@ -341,3 +342,9 @@ class TestColSkew:
     def test_precondition(self):
         with pytest.raises(ValueError):
             check_col_skew((1, 0), ((1,), (1,)), 3)
+
+
+def test_package_attribute_kostka_is_the_module():
+    assert isinstance(hlvertex.kostka, types.ModuleType)
+    assert kostka_module is hlvertex.kostka
+    assert kostka_module.kostka is kostka

@@ -1,0 +1,48 @@
+"""The memo mechanism: clearing, normalized keys, plain functions."""
+
+import types
+
+from hlvertex.kostka import kostka_kostant, kostka_vertex
+from hlvertex.memo import clear_caches, memo
+from hlvertex.symfunc import schur, schur_product_expansion, skew, skew_schur_expansion
+from hlvertex.vertexop import apply_H
+
+
+def test_product_key_is_normalized():
+    assert schur_product_expansion((1, 0), (2, 1, 0)) is schur_product_expansion((2, 1), (1,))
+    assert skew_schur_expansion((2, 1, 0), (1, 0)) is skew_schur_expansion((2, 1), (1,))
+
+
+def test_clear_caches_then_recompute_gives_equal_results():
+    keys = [((3, 1, 0), ((2,), (1, 1))), ((2, 1, 0), ((1,), (1,), (1,)))]
+    before = [(kostka_kostant(*k), kostka_vertex(*k)) for k in keys]
+    f = apply_H((2, 1), schur((2, 1)))
+    g = skew(schur((1,)), schur((3, 2)))
+    expansion = skew_schur_expansion((4, 2, 1), (2, 1))
+    clear_caches()
+    assert [(kostka_kostant(*k), kostka_vertex(*k)) for k in keys] == before
+    again = apply_H((2, 1), schur((2, 1)))
+    assert again == f and again is not f
+    assert skew(schur((1,)), schur((3, 2))) == g
+    again = skew_schur_expansion((4, 2, 1), (2, 1))
+    assert again == expansion and again is not expansion
+
+
+def test_memo_returns_a_plain_function_that_caches():
+    calls = []
+
+    def square(x):
+        """Square x."""
+        calls.append(x)
+        return x * x
+
+    cached = memo(square)
+    assert isinstance(cached, types.FunctionType)
+    assert (cached.__name__, cached.__module__, cached.__doc__) == (
+        "square", __name__, "Square x.")
+    assert cached(3) == cached(3) == 9
+    assert calls == [3]
+    clear_caches()
+    assert cached(3) == 9
+    assert calls == [3, 3]
+

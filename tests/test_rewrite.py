@@ -1,9 +1,11 @@
 """Operator-word rewriting with evaluation certificates."""
 
 import random
+import re
 
 import pytest
 
+import hlvertex.rewrite as rewrite_module
 from hlvertex.coeffs import QPoly, QRat
 from hlvertex.rewrite import (
     OpSum,
@@ -247,3 +249,50 @@ class TestOpSumRendering:
         assert s.to_json() == {
             "terms": [{"word": [[2], [1]], "coeff": {"num": {"1": 1},
                                                      "den": {"0": 1}}}]}
+
+
+# name -> (rewriter, a word it must rewrite, a word it would finish on)
+GUARDED = {
+    "rewrite_dominant": (rewrite_dominant, ((1,), (3,)), ((3,), (1,))),
+    "shift_support": (lambda w: shift_support(w, "left"), ((3, 1), (2,)), ((3,), (1, 1))),
+    "swap_factors": (swap_factors, ((2, 1), (3,)), ((3,), (2, 1))),
+}
+
+
+class TestDriverGuards:
+    """The shared worklist's guards, reached by sabotaging its inputs."""
+
+    @pytest.mark.parametrize("name", sorted(GUARDED))
+    def test_step_budget(self, monkeypatch, name):
+        fn, word, _ = GUARDED[name]
+        monkeypatch.setattr(rewrite_module, "_MAX_STEPS", 0)
+        with pytest.raises(RuntimeError, match=f"^{name} exceeded the step budget$"):
+            fn(word)
+
+    @pytest.mark.parametrize("name", sorted(GUARDED))
+    def test_measure_must_move(self, monkeypatch, name):
+        # handing back the eliminated word leaves the measure where it was
+        fn, word, _ = GUARDED[name]
+        monkeypatch.setattr(rewrite_module, "_replacement", lambda rel, w: {w: QRat.one()})
+        way = "increase" if name == "swap_factors" else "decrease"
+        message = f"termination measure failed to {way} at {format_word(word)}"
+        with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+            fn(word)
+
+    @pytest.mark.parametrize("name", ["shift_support", "swap_factors"])
+    def test_unexpected_factor_lengths(self, monkeypatch, name):
+        fn, word, _ = GUARDED[name]
+        monkeypatch.setattr(rewrite_module, "_replacement",
+                            lambda rel, w: {((1, 0, 0), ()): QRat.one()})
+        with pytest.raises(RuntimeError, match=r"^unexpected factor lengths \(3, 0\)$"):
+            fn(word)
+
+    @pytest.mark.parametrize("name", sorted(GUARDED))
+    def test_result_must_be_integral(self, monkeypatch, name):
+        fn, word, end = GUARDED[name]
+        c = QRat.one() / (QRat.one() - Q)
+        monkeypatch.setattr(rewrite_module, "_replacement", lambda rel, w: {end: c})
+        message = (f"{name} produced a non-polynomial coefficient {c} "
+                   f"at {format_word(end)}")
+        with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+            fn(word)

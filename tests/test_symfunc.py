@@ -407,3 +407,32 @@ class TestPowerSumSubstContract:
         assert subst.phi(3) == Q**3 - 1
         inv = subst.inverse()
         assert (subst.phi(2) * inv.phi(2)).is_one()
+
+
+EXPANSIONS = [
+    (skew_schur_expansion, ((3, 2, 1), (2, 1)),
+     {(3,): 1, (2, 1): 2, (1, 1, 1): 1}),
+    (schur_product_expansion, ((2, 1), (2, 1)),
+     {(4, 2): 1, (4, 1, 1): 1, (3, 3): 1, (3, 2, 1): 2, (3, 1, 1, 1): 1,
+      (2, 2, 2): 1, (2, 2, 1, 1): 1}),
+]
+
+
+class TestCachedExpansionsAreReadOnly:
+    @pytest.mark.parametrize("expand, args, want", EXPANSIONS)
+    def test_mutation_raises(self, expand, args, want):
+        got = expand(*args)
+        key = next(iter(got))
+        with pytest.raises(TypeError):
+            got[key] = 99
+        with pytest.raises(TypeError):
+            del got[key]
+
+    @pytest.mark.parametrize("expand, args, want", EXPANSIONS)
+    def test_later_calls_return_the_original_values(self, expand, args, want):
+        got = expand(*args)
+        try:
+            got[next(iter(got))] = 99
+        except TypeError:
+            pass
+        assert dict(expand(*args)) == want
