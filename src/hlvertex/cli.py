@@ -188,9 +188,8 @@ def cmd_table(args) -> int:
     body = [(format_weight(r["lambda"]), format_blocked(r["gamma"]), str(r["K"]))
             for r in rows]
     widths = [max([len(h)] + [len(row[i]) for row in body]) for i, h in enumerate(header)]
-    lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(header))]
-    lines += ["  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row))
-              for row in body]
+    lines = ["  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
+             for row in [header] + body]
     _emit(args, "\n".join(lines), {
         "eta": list(eta), "max_degree": args.max_degree,
         "rows": [{**_row_json(r), "eta": list(eta)} for r in rows],

@@ -372,10 +372,6 @@ class QRat:
     def q(cls) -> "QRat":
         return _QR_Q
 
-    @classmethod
-    def from_fraction(cls, x: Fraction) -> "QRat":
-        return cls(QPoly.const(x.numerator), QPoly.const(x.denominator))
-
     # -- inspection ---------------------------------------------------
 
     @property

@@ -17,7 +17,7 @@ import logging
 from .coeffs import QPoly
 from .memo import memo
 from .symfunc import one
-from .vertexop import apply_H_word
+from .vertexop import apply_H
 from .weights import (
     is_dominant,
     is_partition,
@@ -137,6 +137,9 @@ def _kostant_series(eta, d) -> QPoly:
 def _validate_key(lam, gamma):
     lam = tuple(lam)
     gamma = tuple(tuple(b) for b in gamma)
+    if not gamma or () in gamma:
+        which = f"block {gamma.index(()) + 1} of {gamma}" if gamma else "the key"
+        raise ValueError(f"{which} is empty")
     eta = shape_of(gamma)
     n = sum(eta)
     if len(lam) != n:
@@ -234,7 +237,8 @@ def kostka_vertex(lam, gamma) -> QPoly:
 
 @memo
 def _word_on_one(gamma):
-    return apply_H_word(gamma, one())
+    """The word applied to 1, memoized on every suffix, which keys share."""
+    return apply_H(gamma[0], _word_on_one(gamma[1:])) if gamma else one()
 
 
 def kostka(lam, gamma, method: str = "both") -> QPoly:

@@ -7,11 +7,15 @@ symmetric function f as
         cbar(lam; mu, nu) * s_lam * (s_mu[X(q-1)])-perp f,
 
 where cbar is the GL(k) tensor multiplicity.  Only mu with |mu| <= deg f
-contribute, so the action is finite and exact.  Jing's operators are
-obtained by conjugating with the plethystic twist X -> X(1-q).
+contribute, so the action is finite and exact.  It is the linear
+extension of a memoized kernel on Schur functions computed over Z[q];
+QRat appears only at the boundary.  Jing's operators are obtained by
+conjugating with the plethystic twist X -> X(1-q).
 """
 
 from __future__ import annotations
+
+from types import MappingProxyType
 
 from .coeffs import QPoly, QRat, _add_term
 from .memo import memo
@@ -23,7 +27,6 @@ from .symfunc import (
     convert,
     plethysm_substitute,
     schur_product_expansion,
-    skew,
     skew_schur_expansion,
 )
 from .weights import (
@@ -46,22 +49,28 @@ def _expansion_pairs(nu, mu):
     nu_shift = trim_zeros(tuple(x + m for x in nu))
     out = []
     for kappa, c in sorted(schur_product_expansion(mu, nu_shift).items()):
-        if len(kappa) > k:
-            continue
-        if m:
-            kp = kappa + (0,) * (k - len(kappa))
-            if kp[-1] - m < 0:
-                continue
-            lam = trim_zeros(tuple(x - m for x in kp))
-        else:
-            lam = kappa
-        out.append((lam, c))
+        kp = kappa + (0,) * (k - len(kappa))
+        if len(kappa) <= k and kp[-1] >= m:
+            out.append((trim_zeros(tuple(x - m for x in kp)), c))
     return tuple(out)
 
 
+def _add_slot(dst: dict, terms, c: int, shift: int = 0) -> None:
+    """dst += c * q**shift * terms, on exponent -> int dicts."""
+    for e, v in terms:
+        e += shift
+        dst[e] = dst.get(e, 0) + c * v
+
+
+def _frozen(acc: dict) -> MappingProxyType:
+    """acc as read-only {index: ((exponent, coefficient), ...)}, zeros dropped."""
+    out = {idx: tuple((e, v) for e, v in slot.items() if v) for idx, slot in acc.items()}
+    return MappingProxyType({idx: terms for idx, terms in out.items() if terms})
+
+
 @memo
-def _schur_alphabet_qm1(mu) -> SymFunc:
-    """s_mu[X(q-1)] expanded in the Schur basis (cached).
+def _schur_alphabet_qm1(mu) -> MappingProxyType:
+    """s_mu[X(q-1)] expanded in the Schur basis over Z[q] (cached).
 
     Splitting the alphabet as qX - X turns the plethysm into a sum over
     subdiagrams nu of mu of q^|nu| (-1)^{|mu|-|nu|} s_nu times the
@@ -74,42 +83,49 @@ def _schur_alphabet_qm1(mu) -> SymFunc:
         e = sum(nu)
         sign = -1 if (size - e) % 2 else 1
         for kappa, c1 in skew_schur_expansion(mu_c, conjugate(nu)).items():
-            c1s = c1 * sign
             for tau, c2 in schur_product_expansion(nu, kappa).items():
-                slot = acc.setdefault(tau, {})
-                slot[e] = slot.get(e, 0) + c1s * c2
-    return SymFunc(SCHUR, {tau: QRat(QPoly(slot)) for tau, slot in acc.items()})
+                _add_slot(acc.setdefault(tau, {}), ((e, c2),), c1 * sign)
+    return _frozen(acc)
+
+
+@memo
+def _H_schur(nu, kappa) -> MappingProxyType:
+    """The kernel H_nu(s_kappa) over Z[q], in _frozen form.  Skews are
+    gathered per factor pair s_lam * s_rho, shared across mu, before the
+    products are expanded."""
+    factors: dict = {}
+    for d in range(sum(kappa) + 1):
+        for mu in partitions_of(d, max_len=len(nu)):
+            pairs = _expansion_pairs(nu, mu)
+            for tau, terms in _schur_alphabet_qm1(mu).items():
+                for rho, m in skew_schur_expansion(kappa, tau).items():
+                    for lam, c in pairs:
+                        _add_slot(factors.setdefault((lam, rho), {}), terms, m * c)
+    acc: dict = {}
+    for (lam, rho), slot in factors.items():
+        for idx, m in schur_product_expansion(lam, rho).items():
+            _add_slot(acc.setdefault(idx, {}), slot.items(), m)
+    return _frozen(acc)
 
 
 def apply_H(nu, f: SymFunc) -> SymFunc:
-    """Apply the vertex operator indexed by the dominant weight nu to f.
-    Length 0 indexes the identity operator."""
+    """Apply the vertex operator indexed by the dominant weight nu (length
+    0: the identity) to f, as the linear extension of the Z[q] kernel.  f's
+    denominators (from apply_B) join only when the output QRat are built."""
     nu = tuple(nu)
     if not is_dominant(nu):
         raise ValueError(f"{nu} is not dominant; use apply_H_any")
     if not nu or f.is_zero():
         return f
-    return _apply_H(nu, convert(f, SCHUR))
-
-
-@memo
-def _apply_H(nu, fs: SymFunc) -> SymFunc:
-    k = len(nu)
-    acc: dict = {}
-    for d in range(fs.degree() + 1):
-        for mu in partitions_of(d, max_len=k):
-            pairs = _expansion_pairs(nu, mu)
-            if not pairs:
-                continue
-            g = skew(_schur_alphabet_qm1(mu), fs)
-            if g.is_zero():
-                continue
-            for lam, c in pairs:
-                for idx, cg in g._terms.items():
-                    cc = cg * c
-                    for kappa, mult in schur_product_expansion(lam, idx).items():
-                        _add_term(acc, kappa, cc * mult)
-    return SymFunc(SCHUR, acc)
+    slots: dict = {}  # (denominator, index) -> numerator
+    for kappa, c in convert(f, SCHUR)._terms.items():
+        for idx, terms in _H_schur(nu, kappa).items():
+            for s, w in c.num._c.items():
+                _add_slot(slots.setdefault((c.den, idx), {}), terms, w, s)
+    out: dict = {}
+    for (den, idx), slot in slots.items():
+        _add_term(out, idx, QRat(QPoly(slot), den))
+    return SymFunc(SCHUR, out)
 
 
 def apply_H_any(v, f: SymFunc) -> SymFunc:

@@ -35,6 +35,14 @@ class TestKostkaCommand:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("method", ["kostant", "vertex", "both"])
+    def test_empty_block_exits_2(self, capsys, method):
+        for lam, gamma, name in (("1", "1;", "block 2"), ("", "", "block 1")):
+            code, out, err = run(capsys, "kostka", "--lambda", lam,
+                                 "--gamma", gamma, "--method", method)
+            assert code == 2 and out == ""
+            assert f"error: {name} of " in err and "is empty" in err
+
     def test_zero_value(self, capsys):
         code, out, _ = run(capsys, "kostka", "--lambda", "1,1",
                            "--gamma", "2;0")
@@ -95,6 +103,13 @@ class TestTableCommand:
         lines = out.strip().splitlines()
         assert lines[0].split() == ["lambda", "gamma", "K"]
         assert len(lines) == 5
+
+    def test_table_text_has_no_trailing_spaces(self, capsys):
+        code, out, _ = run(capsys, "table", "--eta", "2,2", "--max-degree", "4")
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) > 1
+        assert not [line for line in lines if line.endswith(" ")]
 
     def test_table_json_and_cache(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("HLVERTEX_CACHE_DIR", str(tmp_path))

@@ -135,6 +135,13 @@ class TestEngines:
                 assert kostka_vertex(lam3, (gam3,)) == want
                 assert kostka_kostant(lam3, (gam3,)) == want
 
+    @pytest.mark.parametrize("method", ["kostant", "vertex", "both"])
+    def test_empty_block_or_key_is_refused(self, method):
+        with pytest.raises(ValueError, match="block 2 of .* is empty"):
+            kostka((1,), ((1,), ()), method=method)
+        with pytest.raises(ValueError, match="the key is empty"):
+            kostka((), (), method=method)
+
     def test_degree_mismatch_is_zero(self):
         assert kostka_kostant((2, 0), ((1,), (0,))).is_zero()
         assert kostka_vertex((2, 0), ((1,), (0,))).is_zero()

@@ -4,23 +4,36 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hlvertex.coeffs import QPoly, QRat
+from hlvertex.memo import clear_caches
 from hlvertex.symfunc import (
     SymFunc,
     X_OVER_QM1,
+    X_TIMES_QM1,
     elementary_perp,
     multiply,
     one,
     plethysm_substitute,
     powersum,
+    rational_tensor_multiplicity,
     schur,
+    skew,
     specialize_q,
 )
-from hlvertex.vertexop import apply_B, apply_F, apply_H, apply_H_any, apply_H_word
+from hlvertex.vertexop import (
+    _H_schur,
+    apply_B,
+    apply_F,
+    apply_H,
+    apply_H_any,
+    apply_H_word,
+)
 from hlvertex.weights import (
     alpha_beta,
     dominant_weights,
+    pad_zeros,
     partitions_of,
     trim_zeros,
     vertical_strip_shrink,
@@ -61,6 +74,92 @@ class TestApplyH:
             lhs = apply_H(nu, f.scale(a) + g.scale(b))
             rhs = apply_H(nu, f).scale(a) + apply_H(nu, g).scale(b)
             assert lhs == rhs
+
+
+def oracle_apply_H(nu, f):
+    """The operator by its defining sum, on the whole input and in QRat:
+    s_lam * (s_mu[X(q-1)])-perp f weighted by the GL(k) tensor
+    multiplicity, with the alphabet taken through power sums."""
+    k = len(nu)
+    out = SymFunc.zero()
+    for d in range(f.degree() + 1):
+        for mu in partitions_of(d, max_len=k):
+            g = skew(plethysm_substitute(schur(mu), X_TIMES_QM1), f)
+            for lam in partitions_of(d + sum(nu), max_len=k):
+                c = rational_tensor_multiplicity(k, pad_zeros(lam, k),
+                                                 pad_zeros(mu, k), nu)
+                if c and not g.is_zero():
+                    out = out + multiply(schur(lam), g).scale(c)
+    return out
+
+
+ORACLE_BLOCKS = [(1,), (0,), (-1,), (2, 0), (0, 0), (1, -1), (2, 1),
+                 (1, 1, 0), (2, 0, -1)]
+MIXED = (schur((2, 1)).scale(Q**2 - 1)
+         + schur((1,)).scale(QRat.one() / (1 - Q))
+         + schur((2,)).scale(QRat(QPoly({-1: 2})))
+         + one().scale(QRat(QPoly({0: 1}), QPoly({0: 1, 1: 1}))))
+
+
+class TestKernelAgainstOracle:
+    @pytest.mark.parametrize("nu", ORACLE_BLOCKS)
+    def test_schur_inputs(self, nu):
+        for d in range(4):
+            for tau in partitions_of(d):
+                assert apply_H(nu, schur(tau)) == oracle_apply_H(nu, schur(tau))
+
+    @pytest.mark.parametrize("nu", ORACLE_BLOCKS)
+    def test_mixed_coefficients(self, nu):
+        assert apply_H(nu, MIXED) == oracle_apply_H(nu, MIXED)
+
+    @pytest.mark.parametrize("nu", [(1,), (-1,), (2, 0), (1, -1)])
+    def test_jing_operator(self, nu):
+        for f in (one(), schur((1,)), schur((1, 1)).scale(Q) - schur((2,))):
+            want = apply_F(oracle_apply_H(nu, apply_F(f, inverse=True)))
+            assert apply_B(nu, f) == want
+
+
+laurent = st.dictionaries(st.integers(-2, 3), st.integers(-3, 3),
+                          min_size=1, max_size=3).map(lambda d: QRat(QPoly(d)))
+denominators = st.sampled_from([QPoly({0: 1, 1: -1}), QPoly({0: 1, 2: -1}),
+                                QPoly({0: 2, 1: 1})])
+coefficients = laurent | st.builds(lambda c, den: c / QRat(den), laurent, denominators)
+schur_indices = st.sampled_from([(), (1,), (2,), (1, 1), (2, 1), (3,), (1, 1, 1)])
+
+
+class TestLinearExtension:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(ORACLE_BLOCKS),
+           st.lists(st.tuples(schur_indices, coefficients), min_size=1, max_size=4))
+    def test_termwise_sum(self, nu, terms):
+        f = SymFunc.zero()
+        want = SymFunc.zero()
+        for kappa, c in terms:
+            f = f + schur(kappa).scale(c)
+        for kappa, c in f.terms():
+            want = want + apply_H(nu, schur(kappa)).scale(c)
+        assert apply_H(nu, f) == want
+
+
+class TestKernelCache:
+    def test_kernel_values_are_read_only(self):
+        image = _H_schur((2, 1), (2, 1))
+        idx = next(iter(image))
+        with pytest.raises(TypeError):
+            image[idx] = ((0, 99),)
+        with pytest.raises(TypeError):
+            del image[idx]
+        assert all(isinstance(terms, tuple) for terms in image.values())
+
+    def test_mutating_an_output_leaves_the_cache_intact(self):
+        clear_caches()
+        f = schur((2, 1)) + schur((1,)).scale(Q)
+        want = oracle_apply_H((2, 1), f)
+        got = apply_H((2, 1), f)
+        assert got == want
+        for idx in list(got._terms):
+            got._terms[idx] = QRat(99)
+        assert apply_H((2, 1), f) == want
 
 
 class TestApplyHAny:
