@@ -5,22 +5,14 @@ Text output is deterministic; --json switches to a stable JSON schema
 (sorted keys).  Exit codes: 0 success, 1 suite failure or engine
 disagreement, 2 argument or parse error.
 
-Setting HLVERTEX_CACHE_DIR persists computed tables to disk, keyed by the
-request; this is purely an acceleration.  Entries are written atomically
-with a SHA-256 digest of their rows; an unreadable or malformed entry, or
-one whose rows do not match the digest, is a cache miss (logged as a
-warning) under every method.  Under --method both an entry stands in for
-the vertex engine only if the Kostant engine recomputes the same table,
-which is what is printed.
+Every command computes its result; nothing is read from disk.  Output is
+deterministic, so `table ... --json > table.json` keeps a table.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
-import logging
-import os
 import random
 import sys
 
@@ -79,8 +71,6 @@ from .weights import (
     vertical_strip_shrink,
 )
 
-log = logging.getLogger(__name__)
-
 
 def _emit(args, text: str, payload) -> None:
     if args.json:
@@ -89,20 +79,12 @@ def _emit(args, text: str, payload) -> None:
         print(text)
 
 
-def _table_cache_path(eta, max_degree, method):
-    root = os.environ.get("HLVERTEX_CACHE_DIR")
-    if not root:
-        return None
-    key = f"table:eta={','.join(map(str, eta))}:d={max_degree}:m={method}:v2"
-    name = hashlib.sha256(key.encode()).hexdigest()[:24] + ".json"
-    return os.path.join(root, name), key
-
-
 def cmd_kostka(args) -> int:
     lam = parse_weight(args.lam)
     gamma = parse_blocked(args.gamma)
-    eta = parse_weight(args.eta) if args.eta else tuple(len(b) for b in gamma)
-    if tuple(len(b) for b in gamma) != eta:
+    sizes = tuple(len(b) for b in gamma)
+    eta = sizes if args.eta is None else parse_weight(args.eta)
+    if sizes != eta:
         raise ValueError(f"eta {eta} does not match gamma block sizes")
     value = kostka(lam, gamma, method=args.method)
     _emit(args, str(value), {
@@ -112,78 +94,13 @@ def cmd_kostka(args) -> int:
     return 0
 
 
-def _row_json(row: dict) -> dict:
-    return {"lambda": list(row["lambda"]), "gamma": [list(b) for b in row["gamma"]],
-            "K": row["K"].to_json()}
-
-
-def _rows_digest(rows: list) -> str:
-    """SHA-256 of the canonical JSON form of a cache entry's rows."""
-    text = json.dumps(rows, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
-def _load_table(path, key, eta):
-    """Rows of a cache entry, or None when it is absent, unreadable,
-    malformed or does not match its digest."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            stored = json.load(fh)
-        if stored["key"] != key:
-            return None
-        if stored["sha256"] != _rows_digest(stored["rows"]):
-            raise ValueError("rows do not match the stored digest")
-        return [{"lambda": tuple(r["lambda"]),
-                 "gamma": tuple(tuple(b) for b in r["gamma"]),
-                 "eta": eta,
-                 "K": QPoly.from_json(r["K"])} for r in stored["rows"]]
-    except FileNotFoundError:
-        return None
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
-        log.warning("ignoring unreadable cache entry %s: %s", path, exc)
-        return None
-
-
-def _store_table(path, key, rows) -> None:
-    """Write a cache entry atomically: a temporary file in the same
-    directory, then a rename over the entry."""
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    tmp = f"{path}.{os.getpid()}.tmp"
-    payload = [_row_json(r) for r in rows]
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump({"key": key, "sha256": _rows_digest(payload), "rows": payload}, fh)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-
-
 def cmd_table(args) -> int:
     eta = parse_weight(args.eta)
     if not eta or any(e < 1 for e in eta):
         raise ValueError(f"eta parts must be positive, got {args.eta!r}")
     if args.max_degree < 1:
         raise ValueError(f"--max-degree must be at least 1, got {args.max_degree}")
-    cached = _table_cache_path(eta, args.max_degree, args.method)
-    rows = None
-    if cached:
-        path, key = cached
-        rows = _load_table(path, key, eta)
-        if rows is not None and args.method == "both":
-            # the entry only vouches that the vertex engine agreed; what is
-            # printed is the Kostant engine's own recomputation
-            fresh = kostka_table(eta, args.max_degree, method="kostant")
-            if rows == fresh:
-                rows = fresh
-            else:
-                log.warning("cache entry %s disagrees with the Kostant engine; "
-                            "recomputing", path)
-                rows = None
-    if rows is None:
-        rows = kostka_table(eta, args.max_degree, method=args.method)
-        if cached:
-            _store_table(path, key, rows)
+    rows = kostka_table(eta, args.max_degree, method=args.method)
     header = ("lambda", "gamma", "K")
     body = [(format_weight(r["lambda"]), format_blocked(r["gamma"]), str(r["K"]))
             for r in rows]
@@ -192,7 +109,8 @@ def cmd_table(args) -> int:
              for row in [header] + body]
     _emit(args, "\n".join(lines), {
         "eta": list(eta), "max_degree": args.max_degree,
-        "rows": [{**_row_json(r), "eta": list(eta)} for r in rows],
+        "rows": [{"lambda": list(r["lambda"]), "gamma": [list(b) for b in r["gamma"]],
+                  "eta": list(eta), "K": r["K"].to_json()} for r in rows],
     })
     return 0
 
@@ -270,16 +188,13 @@ def _suite_identities(max_degree: int):
     ]
     for kind, params in relations:
         cases.append((kind, relation_instance(kind, **params), OpSum()))
-    failures = []
     for name, lhs, rhs in cases:
-        if not operators_equal(lhs, rhs, max_degree):
-            failures.append(name)
-    return len(cases) - len(failures), len(cases), failures
+        yield name, operators_equal(lhs, rhs, max_degree)
 
 
 def _suite_colskew(max_degree: int):
     rng = random.Random(17)
-    total, failures = 0, []
+    total = 0
     etas = [eta for n in range(2, 5) for eta in compositions(n)]
     attempts = 0
     # colskew keys have degree at least 1
@@ -298,61 +213,53 @@ def _suite_colskew(max_degree: int):
             continue
         alpha = rng.choice(alphas)
         total += 1
-        if not check_col_skew(alpha, gamma, k):
-            failures.append(f"colskew eta={eta} alpha={alpha} gamma={gamma} k={k}")
-    return total - len(failures), total, failures
+        yield (f"colskew eta={eta} alpha={alpha} gamma={gamma} k={k}",
+               check_col_skew(alpha, gamma, k))
 
 
 def _suite_jing(max_degree: int):
-    total, failures = 0, []
     for n in (1, 2, 3):
         for eta in compositions(n):
             for d in range(0, min(max_degree, 4) + 1):
                 for gamma in blocked_weights(eta, d, max_part=2):
-                    total += 1
                     f = sf_one()
                     for block in reversed(gamma):
                         f = apply_B(block, f)
-                    if apply_F(f, inverse=True) != apply_H_word(gamma, sf_one()):
-                        failures.append(f"jing gamma={gamma}")
-    return total - len(failures), total, failures
+                    yield (f"jing gamma={gamma}",
+                           apply_F(f, inverse=True) == apply_H_word(gamma, sf_one()))
 
 
 def _suite_engines(max_degree: int):
-    total, failures = 0, []
     for n in (1, 2, 3):
         for eta in compositions(n):
             for d in range(0, min(max_degree, 4) + 1):
                 lams = [pad_zeros(p, n) for p in partitions_of(d, max_len=n, max_part=3)]
                 for gamma in blocked_weights(eta, d, max_part=3):
                     for lam in lams:
-                        total += 1
-                        if kostka(lam, gamma, method="kostant") != kostka(
-                                lam, gamma, method="vertex"):
-                            failures.append(f"engines lam={lam} gamma={gamma}")
-    return total - len(failures), total, failures
+                        yield (f"engines lam={lam} gamma={gamma}",
+                               kostka(lam, gamma, method="kostant")
+                               == kostka(lam, gamma, method="vertex"))
 
 
 def _suite_core(max_degree: int):
     """Condensed run of the per-module invariants not covered by the
     other suites."""
-    checks = []
     rng = random.Random(31)
 
     # weight combinatorics
     doms = list(dominant_weights(3, -2, 2))
-    checks.append(("straighten idempotent",
-                   all(straighten(nu) == (1, nu) for nu in doms)))
+    yield ("straighten idempotent",
+           all(straighten(nu) == (1, nu) for nu in doms))
     ok = True
     for nu in doms[:30]:
         for beta in vertical_strip_shrink(nu):
             ok = ok and is_dominant(beta) and is_vertical_strip(nu, beta)
         for alpha in vertical_strip_grow(nu):
             ok = ok and is_dominant(alpha) and is_vertical_strip(alpha, nu)
-    checks.append(("vertical strips", ok))
-    checks.append(("alpha-beta split",
-                   all(alpha_beta(g)[0] == g and not any(alpha_beta(g)[1])
-                       for g in dominant_weights(3, 0, 2))))
+    yield "vertical strips", ok
+    yield ("alpha-beta split",
+           all(alpha_beta(g)[0] == g and not any(alpha_beta(g)[1])
+               for g in dominant_weights(3, 0, 2)))
 
     # coefficient canonicality and the power-substitution homomorphism
     ok = True
@@ -367,50 +274,50 @@ def _suite_core(max_degree: int):
         ok = ok and (a - a).is_zero() and ((a * b) / b == a if not b.is_zero() else True)
         ok = ok and (a + b).subs_qpower(k) == a.subs_qpower(k) + b.subs_qpower(k)
         ok = ok and (a * b).subs_qpower(k) == a.subs_qpower(k) * b.subs_qpower(k)
-    checks.append(("coefficient canonicality", ok))
+    yield "coefficient canonicality", ok
 
     # symmetric function layer
     parts = [p for d in range(min(max_degree, 4) + 1) for p in partitions_of(d)]
-    checks.append(("conversion round trip",
-                   all(convert(convert(schur(p), POWERSUM), "schur") == schur(p)
-                       for p in parts)))
-    checks.append(("schur orthonormality",
-                   all(scalar_product(schur(a), schur(b)) ==
-                       (QRat.one() if a == b else QRat.zero())
-                       for a in parts for b in parts)))
+    yield ("conversion round trip",
+           all(convert(convert(schur(p), POWERSUM), "schur") == schur(p)
+               for p in parts))
+    yield ("schur orthonormality",
+           all(scalar_product(schur(a), schur(b)) ==
+               (QRat.one() if a == b else QRat.zero())
+               for a in parts for b in parts))
     ok = True
     for _ in range(15):
         mu, kappa, lam = rng.choice(parts), rng.choice(parts), rng.choice(parts)
         lhs = scalar_product(skew(schur(mu), schur(lam)), schur(kappa))
         rhs = scalar_product(schur(lam), multiply(schur(mu), schur(kappa)))
         ok = ok and lhs == rhs
-    checks.append(("skew adjunction", ok))
-    checks.append(("elementary perp matches skew",
-                   all(elementary_perp(k, schur(p)) == skew(elementary(k), schur(p))
-                       for p in parts for k in range(3))))
-    checks.append(("plethystic twist round trip",
-                   all(plethysm_substitute(plethysm_substitute(schur(p), X_TIMES_QM1),
-                                           X_OVER_QM1) == schur(p) for p in parts)))
-    checks.append(("dual bases", dual_basis_pair_check(X_TIMES_QM1, min(max_degree, 3))))
+    yield "skew adjunction", ok
+    yield ("elementary perp matches skew",
+           all(elementary_perp(k, schur(p)) == skew(elementary(k), schur(p))
+               for p in parts for k in range(3)))
+    yield ("plethystic twist round trip",
+           all(plethysm_substitute(plethysm_substitute(schur(p), X_TIMES_QM1),
+                                   X_OVER_QM1) == schur(p) for p in parts))
+    yield "dual bases", dual_basis_pair_check(X_TIMES_QM1, min(max_degree, 3))
 
     # vertex operator layer
-    checks.append(("partition blocks on 1",
-                   all(apply_H(pad_zeros(p, 2), sf_one()) == schur(p)
-                       for p in partitions_of(3, max_len=2))))
-    checks.append(("negative tail kills 1", apply_H((1, -1), sf_one()).is_zero()))
+    yield ("partition blocks on 1",
+           all(apply_H(pad_zeros(p, 2), sf_one()) == schur(p)
+               for p in partitions_of(3, max_len=2)))
+    yield "negative tail kills 1", apply_H((1, -1), sf_one()).is_zero()
     ok = True
     for v in [(1, 3), (0, 2, 1)]:
         for i in range(len(v) - 1):
             w = list(v)
             w[i], w[i + 1] = v[i + 1] - 1, v[i] + 1
             ok = ok and apply_H_any(v, schur((1,))) == -apply_H_any(tuple(w), schur((1,)))
-    checks.append(("shifted skew symmetry", ok))
+    yield "shifted skew symmetry", ok
     ok = True
     for gamma in dominant_weights(2, -2, 2):
         al, be = alpha_beta(gamma)
         vec = plethysm_substitute(schur(trim_zeros(be)), X_OVER_QM1)
         ok = ok and apply_H(gamma, vec) == schur(trim_zeros(al))
-    checks.append(("independence vectors", ok))
+    yield "independence vectors", ok
     ok = True
     for lam, tau in [((1,), (2,)), ((2, 1), (1, 1))]:
         at0 = specialize_q(apply_H(lam, schur(tau)), 0)
@@ -419,7 +326,7 @@ def _suite_core(max_degree: int):
         word = tuple((x,) for x in lam)
         ok = ok and at0 == specialize_q(apply_H_any(lam, schur(tau)), 0)
         ok = ok and specialize_q(apply_H_word(word, schur(tau)), 0) == at0
-    checks.append(("q specializations", ok))
+    yield "q specializations", ok
 
     # Kostka layer: shift invariance on a few keys
     ok = True
@@ -430,10 +337,7 @@ def _suite_core(max_degree: int):
             gamma_s = tuple(tuple(x + a for x in b) for b in gamma)
             ok = ok and kostka_kostant(lam_s, gamma_s) == base
             ok = ok and kostka_vertex(lam_s, gamma_s) == base
-    checks.append(("kostka shift invariance", ok))
-
-    failures = [name for name, passed in checks if not passed]
-    return len(checks) - len(failures), len(checks), failures
+    yield "kostka shift invariance", ok
 
 
 _SUITES = {
@@ -453,9 +357,14 @@ def cmd_check(args) -> int:
     ok = True
     lines = []
     for name in names:
-        passed, total, failures = _SUITES[name](args.max_degree)
+        total, failures = 0, []
+        for label, held in _SUITES[name](args.max_degree):
+            total += 1
+            if not held:
+                failures.append(label)
+        passed = total - len(failures)
         if total == 0:
-            failures = failures + ["no checks evaluated"]
+            failures.append("no checks evaluated")
         report[name] = {"passed": passed, "total": total, "failures": failures}
         ok = ok and not failures
         lines.append(f"suite {name}: {passed}/{total} passed")

@@ -84,6 +84,8 @@ class OpSum:
         return sorted(self._terms.items())
 
     def __add__(self, other):
+        if not isinstance(other, OpSum):
+            return NotImplemented
         t = dict(self._terms)
         for w, c in other._terms.items():
             _add_term(t, w, c)
@@ -93,6 +95,8 @@ class OpSum:
         return _opsum({w: -c for w, c in self._terms.items()})
 
     def __sub__(self, other):
+        if not isinstance(other, OpSum):
+            return NotImplemented
         return self + (-other)
 
     def scale(self, c) -> "OpSum":

@@ -557,6 +557,11 @@ def elementary_perp(k: int, f: SymFunc) -> SymFunc:
 # -- plethystic substitution ----------------------------------------------
 
 
+@memo
+def _phi(base: QRat, k: int) -> QRat:
+    return base.subs_qpower(k)
+
+
 class PowerSumSubst:
     """Substitution rule p_k -> phi(k) * p_k (alphabet c(q)X) or
     p_k -> phi(k) (constant alphabet c(q)), with phi(k) obtained from
@@ -568,14 +573,9 @@ class PowerSumSubst:
         self._base = scale
         self.variables = variables
         self.name = name
-        self._memo = {1: scale}
 
     def phi(self, k: int) -> QRat:
-        c = self._memo.get(k)
-        if c is None:
-            c = self._base.subs_qpower(k)
-            self._memo[k] = c
-        return c
+        return _phi(self._base, k)
 
     def inverse(self) -> "PowerSumSubst":
         if self._base.is_zero():

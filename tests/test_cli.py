@@ -43,6 +43,12 @@ class TestKostkaCommand:
             assert code == 2 and out == ""
             assert f"error: {name} of " in err and "is empty" in err
 
+    def test_empty_eta_is_not_the_default(self, capsys):
+        code, out, err = run(capsys, "kostka", "--lambda", "2,0",
+                             "--gamma", "1;1", "--eta", "")
+        assert code == 2 and out == ""
+        assert "eta () does not match gamma block sizes" in err
+
     def test_zero_value(self, capsys):
         code, out, _ = run(capsys, "kostka", "--lambda", "1,1",
                            "--gamma", "2;0")
@@ -111,19 +117,33 @@ class TestTableCommand:
         assert len(lines) > 1
         assert not [line for line in lines if line.endswith(" ")]
 
-    def test_table_json_and_cache(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("HLVERTEX_CACHE_DIR", str(tmp_path))
-        code, out1, _ = run(capsys, "table", "--eta", "1,1",
-                            "--max-degree", "2", "--json")
+    def test_table_json(self, capsys):
+        code, out, _ = run(capsys, "table", "--eta", "1,1",
+                           "--max-degree", "2", "--json")
         assert code == 0
-        assert list(tmp_path.iterdir())
-        code, out2, _ = run(capsys, "table", "--eta", "1,1",
-                            "--max-degree", "2", "--json")
-        assert code == 0
-        assert out1 == out2
-        data = json.loads(out1)
+        data = json.loads(out)
         assert data["eta"] == [1, 1]
         assert len(data["rows"]) == 4
+
+    @pytest.mark.parametrize("method", ["kostant", "vertex", "both"])
+    def test_cache_dir_is_neither_read_nor_written(self, capsys, tmp_path,
+                                                  monkeypatch, method):
+        args = ("table", "--eta", "1,1", "--max-degree", "2",
+                "--method", method, "--json")
+        monkeypatch.delenv("HLVERTEX_CACHE_DIR", raising=False)
+        expected = run(capsys, *args)
+        # a forged entry in the signed format that earlier versions read
+        rows = [{"lambda": r["lambda"], "gamma": r["gamma"], "K": {"5": 3}}
+                for r in json.loads(expected[1])["rows"]]
+        text = json.dumps(rows, sort_keys=True, separators=(",", ":"))
+        key = f"table:eta=1,1:d=2:m={method}:v2"
+        entry = tmp_path / (hashlib.sha256(key.encode()).hexdigest()[:24] + ".json")
+        entry.write_text(json.dumps({"key": key, "rows": rows,
+                                     "sha256": hashlib.sha256(text.encode()).hexdigest()}))
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        monkeypatch.setenv("HLVERTEX_CACHE_DIR", str(tmp_path))
+        assert run(capsys, *args) == expected
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_table_rejects_nonpositive_eta(self, capsys):
         for eta in ("0", "2,0", "1,-1"):
@@ -136,71 +156,6 @@ class TestTableCommand:
             code, out, err = run(capsys, "table", "--eta", "2", "--max-degree", degree)
             assert code == 2 and out == ""
             assert "--max-degree must be at least 1" in err
-
-
-def write_signed(entry, stored):
-    """Write an edited cache entry together with a digest that matches its
-    edited rows, so that only the Kostant recheck can catch the edit."""
-    rows = json.dumps(stored["rows"], sort_keys=True, separators=(",", ":"))
-    stored["sha256"] = hashlib.sha256(rows.encode()).hexdigest()
-    entry.write_text(json.dumps(stored), encoding="utf-8")
-
-
-class TestTableCache:
-    ARGS = ("table", "--eta", "2,1", "--max-degree", "3", "--json")
-
-    def _entry(self, capsys, tmp_path, monkeypatch, args=ARGS):
-        monkeypatch.setenv("HLVERTEX_CACHE_DIR", str(tmp_path))
-        code, out, _ = run(capsys, *args)
-        assert code == 0
-        (entry,) = tmp_path.iterdir()
-        return out, entry
-
-    def test_truncated_entry_is_a_miss(self, capsys, tmp_path, monkeypatch, caplog):
-        fresh, entry = self._entry(capsys, tmp_path, monkeypatch)
-        text = entry.read_text(encoding="utf-8")
-        entry.write_text(text[:len(text) // 2], encoding="utf-8")
-        code, out, _ = run(capsys, *self.ARGS)
-        assert code == 0 and out == fresh
-        assert "ignoring unreadable cache entry" in caplog.text
-        assert entry.read_text(encoding="utf-8") == text
-        assert [p.name for p in tmp_path.iterdir()] == [entry.name]
-
-    def test_edited_entry_is_not_served_under_both(self, capsys, tmp_path,
-                                                    monkeypatch, caplog):
-        fresh, entry = self._entry(capsys, tmp_path, monkeypatch)
-        stored = json.loads(entry.read_text(encoding="utf-8"))
-        stored["rows"][0]["K"] = {"7": 1}
-        write_signed(entry, stored)
-        code, out, _ = run(capsys, *self.ARGS)
-        assert code == 0 and out == fresh
-        assert "disagrees with the Kostant engine" in caplog.text
-        del stored["rows"][0]
-        write_signed(entry, stored)
-        code, out, _ = run(capsys, *self.ARGS)
-        assert code == 0 and out == fresh
-        # equal as numbers but not as text: nothing read from disk is printed
-        stored = json.loads(entry.read_text(encoding="utf-8"))
-        stored["rows"][0]["lambda"] = [float(x) for x in stored["rows"][0]["lambda"]]
-        write_signed(entry, stored)
-        code, out, _ = run(capsys, *self.ARGS)
-        assert code == 0 and out == fresh
-
-    @pytest.mark.parametrize("method", ["kostant", "vertex", "both"])
-    def test_entry_not_matching_its_digest_is_a_miss(self, capsys, tmp_path,
-                                                      monkeypatch, caplog, method):
-        args = ("table", "--eta", "1,1", "--max-degree", "2", "--method", method)
-        fresh, entry = self._entry(capsys, tmp_path, monkeypatch, args)
-        text = entry.read_text(encoding="utf-8")
-        stored = json.loads(text)
-        (row,) = [r for r in stored["rows"] if r["K"] == {"1": 1}]
-        row["K"] = {"5": 3}
-        entry.write_text(json.dumps(stored), encoding="utf-8")
-        code, out, _ = run(capsys, *args)
-        assert code == 0 and out == fresh
-        assert "3*q^5" not in out
-        assert "rows do not match the stored digest" in caplog.text
-        assert entry.read_text(encoding="utf-8") == text
 
 
 class TestCheckCommand:

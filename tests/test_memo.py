@@ -2,9 +2,17 @@
 
 import types
 
+from hlvertex.coeffs import QRat
 from hlvertex.kostka import kostka_kostant, kostka_vertex
 from hlvertex.memo import clear_caches, memo
-from hlvertex.symfunc import schur, schur_product_expansion, skew, skew_schur_expansion
+from hlvertex.symfunc import (
+    X_TIMES_QM1,
+    plethysm_substitute,
+    schur,
+    schur_product_expansion,
+    skew,
+    skew_schur_expansion,
+)
 from hlvertex.vertexop import apply_H
 
 
@@ -46,3 +54,18 @@ def test_memo_returns_a_plain_function_that_caches():
     assert cached(3) == 9
     assert calls == [3, 3]
 
+
+def test_clear_caches_empties_the_power_substitution_values(monkeypatch):
+    plethysm_substitute(schur((2, 1)), X_TIMES_QM1)
+    clear_caches()
+    powers = []
+    subs_qpower = QRat.subs_qpower
+
+    def counted(self, k):
+        powers.append(k)
+        return subs_qpower(self, k)
+
+    monkeypatch.setattr(QRat, "subs_qpower", counted)
+    values = [X_TIMES_QM1.phi(k) for k in (1, 3, 3)]
+    assert powers == [1, 3]
+    assert values == [QRat.q() - 1, QRat.q() ** 3 - 1, QRat.q() ** 3 - 1]

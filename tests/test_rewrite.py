@@ -250,6 +250,14 @@ class TestOpSumRendering:
             "terms": [{"word": [[2], [1]], "coeff": {"num": {"1": 1},
                                                      "den": {"0": 1}}}]}
 
+    @pytest.mark.parametrize("other", [1, QRat.one(), "H[1]"], ids=["int", "QRat", "str"])
+    def test_arithmetic_with_a_non_opsum_is_a_type_error(self, other):
+        s = OpSum({((2,), (1,)): Q})
+        with pytest.raises(TypeError):
+            s + other
+        with pytest.raises(TypeError):
+            s - other
+
 
 # name -> (rewriter, a word it must rewrite, a word it would finish on)
 GUARDED = {
