@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 
@@ -138,7 +139,7 @@ def cmd_two_factor(args) -> int:
             direction = "left" if len(word[0]) > len(word[1]) else "right"
         extra = (direction,)
     total = OpSum()
-    for w, c in normalize({word: QRat.one()}).terms():
+    for w, c in normalize({word: 1}).terms():
         total = total + args.rewriter(w, *extra).scale(c)
     _emit(args, str(total), total.to_json())
     return 0
@@ -431,7 +432,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early (`... | head`); stdout goes to
+        # devnull so that the flush at interpreter exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

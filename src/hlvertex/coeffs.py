@@ -245,26 +245,23 @@ def _dense(p: QPoly) -> list:
     return out
 
 
-def _trimmed(a: list) -> list:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_mod(a: list, b: list) -> list:
+def _divmod(a: list, b: list) -> tuple:
+    """Long division of dense Fraction lists, lowest degree first, by a
+    trimmed nonzero b: (quotient, trimmed remainder)."""
     a = a[:]
     db = len(b) - 1
     lead = b[-1]
-    while len(a) - 1 >= db and a:
-        if a[-1] == 0:
-            a.pop()
-            continue
-        factor = a[-1] / lead
-        shift = len(a) - 1 - db
-        for i in range(db + 1):
-            a[shift + i] -= factor * b[i]
+    quot = [Fraction(0)] * max(len(a) - db, 0)
+    while len(a) > db:
+        factor = a.pop() / lead
+        if factor:
+            shift = len(a) - db
+            quot[shift] = factor
+            for i in range(db):
+                a[shift + i] -= factor * b[i]
+    while a and a[-1] == 0:
         a.pop()
-    return _trimmed(a)
+    return quot, a
 
 
 def _primitive_int(a: list) -> QPoly:
@@ -276,43 +273,25 @@ def _primitive_int(a: list) -> QPoly:
     g = 0
     for v in ints:
         g = math.gcd(g, v)
-    if g == 0:
-        return QPoly.zero()
     if ints[-1] < 0:
         g = -g
     return QPoly({e: v // g for e, v in enumerate(ints) if v})
 
 
 def _poly_gcd(a: QPoly, b: QPoly) -> QPoly:
-    """Primitive gcd in Z[q] of two ordinary polynomials, positive leading
-    coefficient.  Inputs must have valuation >= 0 and not both be zero."""
-    if a.is_zero():
-        return _primitive_int(_dense(b))
-    if b.is_zero():
-        return _primitive_int(_dense(a))
-    A, B = _trimmed(_dense(a)), _trimmed(_dense(b))
+    """Primitive gcd in Z[q] of two nonzero ordinary polynomials, positive
+    leading coefficient."""
+    A, B = _dense(a), _dense(b)
     while B:
-        A, B = B, _poly_mod(A, B)
+        A, B = B, _divmod(A, B)[1]
     return _primitive_int(A)
 
 
 def _exact_div(a: QPoly, g: QPoly) -> QPoly:
     """Exact division a / g for ordinary polynomials; g must divide a."""
-    A, G = _trimmed(_dense(a)), _trimmed(_dense(g))
-    dq = len(A) - len(G)
-    if dq < 0:
+    quot, rem = _divmod(_dense(a), _dense(g))
+    if rem:
         raise ArithmeticError("inexact polynomial division")
-    quot = [Fraction(0)] * (dq + 1)
-    lead = G[-1]
-    while A:
-        shift = len(A) - len(G)
-        if shift < 0:
-            raise ArithmeticError("inexact polynomial division")
-        factor = A[-1] / lead
-        quot[shift] = factor
-        for i in range(len(G)):
-            A[shift + i] -= factor * G[i]
-        _trimmed(A)
     out = {}
     for e, v in enumerate(quot):
         if v:

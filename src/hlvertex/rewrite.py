@@ -2,9 +2,11 @@
 
 An operator word is a tuple of weight blocks standing for a composite of
 vertex operators (applied right to left); an OpSum is a finite linear
-combination of such words with QRat coefficients, kept with every block
-straightened to dominant form.  The rewriting algorithms work on
-two-factor words:
+combination of such words with integer Laurent-polynomial (QPoly)
+coefficients, kept with every block straightened to dominant form.  The
+relations have coefficients +-q^j times integers and every pivot solved
+for must be a unit +-q^j, so no rewriting step divides.  The rewriting
+algorithms work on two-factor words:
 
 * rewrite_dominant turns a word with dominant factors into a sum of
   words whose concatenated index is dominant,
@@ -30,6 +32,7 @@ from .weights import (
     is_dominant,
     partitions_of,
     straighten,
+    subpartitions,
     vertical_strip_grow,
     vertical_strip_shrink,
 )
@@ -41,8 +44,19 @@ def _as_word(word) -> tuple:
     return tuple(tuple(int(x) for x in block) for block in word)
 
 
-def _minus_q_power(j: int) -> QRat:
-    return QRat(QPoly.monomial(j, (-1) ** j))
+def _minus_q_power(j: int) -> QPoly:
+    return QPoly.monomial(j, (-1) ** j)
+
+
+def _coeff(c) -> QPoly:
+    """An int, a QPoly or a QRat with denominator 1 as a QPoly."""
+    if isinstance(c, QPoly):
+        return c
+    if isinstance(c, QRat):
+        if not c.den.is_one():
+            raise ValueError(f"coefficient {c} is not a Laurent polynomial")
+        return c.num
+    return QPoly.const(c)
 
 
 def _opsum(terms: dict) -> "OpSum":
@@ -53,7 +67,9 @@ def _opsum(terms: dict) -> "OpSum":
 
 
 class OpSum:
-    """Linear combination of operator words with straightened blocks."""
+    """Linear combination of operator words with straightened blocks and
+    Laurent-polynomial coefficients; a coefficient with a denominator is
+    refused with ValueError."""
 
     __slots__ = ("_terms",)
 
@@ -65,8 +81,7 @@ class OpSum:
                 for block in word:
                     if not is_dominant(block):
                         raise ValueError(f"block {block} not dominant; use normalize")
-                if not isinstance(c, QRat):
-                    c = QRat(c)
+                c = _coeff(c)
                 if not c.is_zero():
                     t[word] = c
         self._terms = t
@@ -74,8 +89,8 @@ class OpSum:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def coeff(self, word) -> QRat:
-        return self._terms.get(_as_word(word), QRat.zero())
+    def coeff(self, word) -> QPoly:
+        return self._terms.get(_as_word(word), QPoly.zero())
 
     def words(self):
         return sorted(self._terms)
@@ -100,8 +115,7 @@ class OpSum:
         return self + (-other)
 
     def scale(self, c) -> "OpSum":
-        if not isinstance(c, QRat):
-            c = QRat(c)
+        c = _coeff(c)
         return _opsum({} if c.is_zero() else {w: v * c for w, v in self._terms.items()})
 
     def __eq__(self, other):
@@ -113,13 +127,13 @@ class OpSum:
         return hash(tuple(sorted(self._terms.items())))
 
     def __str__(self):
-        return format_linear([(c, format_word(w)) for w, c in self.terms()])
+        return format_linear([(QRat(c), format_word(w)) for w, c in self.terms()])
 
     def __repr__(self):
         return f"OpSum<{self}>"
 
     def to_json(self) -> dict:
-        return {"terms": [{"word": [list(b) for b in w], "coeff": c.to_json()}
+        return {"terms": [{"word": [list(b) for b in w], "coeff": QRat(c).to_json()}
                           for w, c in self.terms()]}
 
 
@@ -128,8 +142,7 @@ def normalize(raw: dict) -> OpSum:
     coefficients, dropping vanishing words and combining like terms."""
     out: dict = {}
     for word, c in raw.items():
-        if not isinstance(c, QRat):
-            c = QRat(c)
+        c = _coeff(c)
         if c.is_zero():
             continue
         sign = 1
@@ -192,7 +205,7 @@ def _com1_relation(mu, a: int, b: int, nu) -> OpSum:
         for beta in vertical_strip_shrink(nu):
             jb = sum(nu) - sum(beta)
             c = _minus_q_power(ja + jb)
-            qc = c * QRat.q()
+            qc = c.shifted(1)
             _add_term(raw, (alpha + (a + jb,), (b - ja,) + beta), c)
             _add_term(raw, (alpha + (a + jb + 1,), (b - ja - 1,) + beta), -qc)
             _add_term(raw, (alpha + (b + jb,), (a - ja,) + beta), -qc)
@@ -208,7 +221,7 @@ def _com2_relation(mu, a: int, nu) -> OpSum:
             jb = sum(nu) - sum(beta)
             c = _minus_q_power(ja + jb)
             _add_term(raw, (alpha + (a + jb,), (a + 1 - ja,) + beta), c)
-            _add_term(raw, (alpha + (a + jb + 1,), (a - ja,) + beta), -(c * QRat.q()))
+            _add_term(raw, (alpha + (a + jb + 1,), (a - ja,) + beta), -c.shifted(1))
     return normalize(raw)
 
 
@@ -223,11 +236,6 @@ def _move_relation(mu, a: int, nu) -> OpSum:
         ja = sum(alpha) - sum(mu)
         _add_term(raw, (alpha, (a - ja,) + nu), -_minus_q_power(ja))
     return normalize(raw)
-
-
-def _box_partitions(max_len: int, max_part: int):
-    for d in range(max_len * max_part + 1):
-        yield from partitions_of(d, max_len=max_len, max_part=max_part)
 
 
 @memo
@@ -281,7 +289,7 @@ def _bigmove_relation(alpha, beta, gamma) -> OpSum:
     if len(alpha) != k:
         raise ValueError("first and third weights must have equal length")
     raw: dict = {}
-    for theta in _box_partitions(l, k):
+    for theta in subpartitions((k,) * l):
         c = _minus_q_power(sum(theta))
         theta_c = conjugate(theta)
         for mv, c1 in _ssyt_contents(theta, l).items():
@@ -289,7 +297,7 @@ def _bigmove_relation(alpha, beta, gamma) -> OpSum:
             for mz, c2 in _ssyt_contents(theta_c, k).items():
                 second = tuple(gamma[i] - mz[i] for i in range(k))
                 _add_term(raw, (first, second), c * (c1 * c2))
-    for theta in _box_partitions(k, l):
+    for theta in subpartitions((l,) * k):
         c = _minus_q_power(sum(theta))
         theta_c = conjugate(theta)
         for mu_, c1 in _ssyt_contents(theta, k).items():
@@ -371,11 +379,13 @@ def _concat_dominant(word) -> bool:
 
 
 def _replacement(rel: OpSum, word) -> dict:
-    """Solve rel == 0 for word: word == sum of -(c/c0) * other words."""
+    """Solve rel == 0 for word: word == sum of -(c/c0) * other words, where
+    the pivot c0 must be a unit u*q^j (u = +-1), so that -1/c0 = -u*q^-j."""
     c0 = rel.coeff(word)
-    if c0.is_zero():
-        raise RuntimeError(f"relation does not contain {format_word(word)}")
-    return {w: -(c / c0) for w, c in rel._terms.items() if w != word}
+    if len(c0.items()) != 1 or abs(c0.leading_coeff()) != 1:
+        raise RuntimeError(f"pivot {c0} at {format_word(word)} is not a unit")
+    inverse = QPoly.monomial(-c0.degree(), -c0.leading_coeff())
+    return {w: c * inverse for w, c in rel._terms.items() if w != word}
 
 
 def _eliminate(word, name: str, relation, finished, measure,
@@ -393,7 +403,7 @@ def _eliminate(word, name: str, relation, finished, measure,
     shape = (len(word[0]), len(word[1]))
     pending: dict = {}
     done: dict = {}
-    (done if finished(word) else pending)[word] = QRat.one()
+    (done if finished(word) else pending)[word] = QPoly.one()
     pick, way = (min, "increase") if increasing else (max, "decrease")
     steps = 0
     while pending:
@@ -415,7 +425,7 @@ def _eliminate(word, name: str, relation, finished, measure,
                     f"termination measure failed to {way} at {format_word(w)}")
             _add_term(pending, w, coeff * c)
     for w, c in done.items():
-        if c.integral_polynomial() is None:
+        if c.valuation() < 0:
             raise RuntimeError(
                 f"{name} produced a non-polynomial coefficient {c} at {format_word(w)}")
     return _opsum(done)
@@ -488,7 +498,7 @@ def swap_factors(word) -> OpSum:
     f1, f2 = word
     p, r = len(f1), len(f2)
     if p == r:
-        return OpSum({word: QRat.one()})
+        return OpSum({word: 1})
     if p > r:
         def relation(w):
             return _bigmove_relation(w[0][:r], w[0][r:], w[1])

@@ -77,26 +77,24 @@ def is_vertical_strip(nu, mu) -> bool:
     return all(a - b in (0, 1) for a, b in zip(nu, mu))
 
 
+def _vertical_strips(w, step: int) -> tuple:
+    """The dominant weights w + step*d over 0/1 vectors d, decreasing."""
+    out = []
+    for d in itertools.product((0, step), repeat=len(w)):
+        v = tuple(a + x for a, x in zip(w, d))
+        if is_dominant(v):
+            out.append(v)
+    return tuple(sorted(out, reverse=True))
+
+
 def vertical_strip_shrink(nu) -> tuple:
     """All dominant beta of the same length with nu/beta a vertical strip."""
-    nu = tuple(nu)
-    out = []
-    for drops in itertools.product((0, 1), repeat=len(nu)):
-        beta = tuple(a - d for a, d in zip(nu, drops))
-        if is_dominant(beta):
-            out.append(beta)
-    return tuple(sorted(set(out), reverse=True))
+    return _vertical_strips(nu, -1)
 
 
 def vertical_strip_grow(mu) -> tuple:
     """All dominant alpha of the same length with alpha/mu a vertical strip."""
-    mu = tuple(mu)
-    out = []
-    for adds in itertools.product((0, 1), repeat=len(mu)):
-        alpha = tuple(a + d for a, d in zip(mu, adds))
-        if is_dominant(alpha):
-            out.append(alpha)
-    return tuple(sorted(set(out), reverse=True))
+    return _vertical_strips(mu, 1)
 
 
 def alpha_beta(gamma):

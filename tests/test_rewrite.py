@@ -157,7 +157,7 @@ class TestRewriteDominant:
             got = rewrite_dominant((f1, f2))
             for (g1, g2), c in got.terms():
                 assert is_dominant(g1 + g2)
-                assert c.integral_polynomial() is not None
+                assert isinstance(c, QPoly) and c.valuation() >= 0
 
     def test_certificate(self):
         for word in [((2, 2), (4, 1)), ((1,), (3,)), ((2, 1), (3,))]:
@@ -250,6 +250,23 @@ class TestOpSumRendering:
             "terms": [{"word": [[2], [1]], "coeff": {"num": {"1": 1},
                                                      "den": {"0": 1}}}]}
 
+    def test_coefficients_are_laurent_polynomials(self):
+        s = OpSum({((2,), (1,)): Q, ((1,), (1,)): 3})
+        coeffs = [s.coeff(((2,), (1,))), s.coeff(((3,), (1,))),
+                  s.scale(Q).coeff(((1,), (1,)))] + [c for _, c in s.terms()]
+        assert all(isinstance(c, QPoly) for c in coeffs)
+        assert coeffs[:3] == [QPoly.q(), QPoly.zero(), QPoly.monomial(1, 3)]
+
+    def test_denominator_is_refused(self):
+        c = QRat(1, QPoly.one() - QPoly.q())
+        w = ((2,), (1,))
+        with pytest.raises(ValueError, match="not a Laurent polynomial"):
+            OpSum({w: c})
+        with pytest.raises(ValueError, match="not a Laurent polynomial"):
+            normalize({w: c})
+        with pytest.raises(ValueError, match="not a Laurent polynomial"):
+            OpSum({w: 1}).scale(c)
+
     @pytest.mark.parametrize("other", [1, QRat.one(), "H[1]"], ids=["int", "QRat", "str"])
     def test_arithmetic_with_a_non_opsum_is_a_type_error(self, other):
         s = OpSum({((2,), (1,)): Q})
@@ -267,8 +284,28 @@ GUARDED = {
 }
 
 
+# name -> the relation generator the rewriter solves
+RELATION_OF = {
+    "rewrite_dominant": "_strip_relation",
+    "shift_support": "_move_relation",
+    "swap_factors": "_bigmove_relation",
+}
+
+
 class TestDriverGuards:
     """The shared worklist's guards, reached by sabotaging its inputs."""
+
+    @pytest.mark.parametrize("name", sorted(GUARDED))
+    def test_pivot_must_be_a_unit(self, monkeypatch, name):
+        # twice a relation is still zero, but its pivot 2*q^j has no
+        # inverse in Z[q, 1/q]
+        fn, word, _ = GUARDED[name]
+        orig = getattr(rewrite_module, RELATION_OF[name])
+        monkeypatch.setattr(rewrite_module, RELATION_OF[name],
+                            lambda *args: orig(*args).scale(2))
+        message = f"^pivot .* at {re.escape(format_word(word))} is not a unit$"
+        with pytest.raises(RuntimeError, match=message):
+            fn(word)
 
     @pytest.mark.parametrize("name", sorted(GUARDED))
     def test_step_budget(self, monkeypatch, name):
@@ -298,7 +335,7 @@ class TestDriverGuards:
     @pytest.mark.parametrize("name", sorted(GUARDED))
     def test_result_must_be_integral(self, monkeypatch, name):
         fn, word, end = GUARDED[name]
-        c = QRat.one() / (QRat.one() - Q)
+        c = QPoly.monomial(-1)
         monkeypatch.setattr(rewrite_module, "_replacement", lambda rel, w: {end: c})
         message = (f"{name} produced a non-polynomial coefficient {c} "
                    f"at {format_word(end)}")
