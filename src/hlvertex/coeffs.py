@@ -91,6 +91,8 @@ class QPoly:
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
+        if not isinstance(other, (int, QPoly)):
+            return NotImplemented
         other = _as_qpoly(other)
         c = dict(self._c)
         for e, v in other._c.items():
@@ -113,6 +115,8 @@ class QPoly:
         return out
 
     def __sub__(self, other):
+        if not isinstance(other, (int, QPoly)):
+            return NotImplemented
         return self + (-_as_qpoly(other))
 
     def __rsub__(self, other):
@@ -126,7 +130,8 @@ class QPoly:
             out._c = {} if other == 0 else {e: v * other for e, v in self._c.items()}
             out._hash = None
             return out
-        other = _as_qpoly(other)
+        if not isinstance(other, QPoly):
+            return NotImplemented
         c = {}
         for e1, v1 in self._c.items():
             for e2, v2 in other._c.items():
@@ -162,7 +167,9 @@ class QPoly:
         return QPoly({k + e: v for k, v in self._c.items()})
 
     def subs_qpower(self, k: int) -> "QPoly":
-        """Substitute q -> q**k."""
+        """Substitute q -> q**k (k >= 1)."""
+        if k < 1:
+            raise ValueError("power substitution needs k >= 1")
         if k == 1:
             return self
         return QPoly({e * k: v for e, v in self._c.items()})
@@ -419,19 +426,11 @@ class QRat:
     def __pow__(self, n: int):
         if n < 0:
             return _QR_ONE / self ** (-n)
-        out = _QR_ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        # powers of a coprime, canonical pair stay coprime and canonical
+        return QRat._raw(self._num ** n, self._den ** n)
 
     def subs_qpower(self, k: int) -> "QRat":
         """Substitute q -> q**k (k >= 1)."""
-        if k < 1:
-            raise ValueError("power substitution needs k >= 1")
         if k == 1:
             return self
         return QRat(self._num.subs_qpower(k), self._den.subs_qpower(k))

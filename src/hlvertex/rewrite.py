@@ -15,8 +15,11 @@ algorithms work on two-factor words:
 
 Each algorithm eliminates its input word from an exact operator relation
 and substitutes repeatedly, with an explicit termination measure checked
-at every step.  Correctness of any produced sum can be certified through
-the evaluator, which is an independent oracle.
+at every step.  relation_instance builds each relation once: com1, com2,
+move, the factor-swapping bigmove (kernel: the dual Cauchy product
+prod (1 - q y_i z_j) = sum over theta of (-q)^|theta| s_theta(y) s_theta'(z))
+and the identity families.  Correctness of any produced sum can be
+certified through the evaluator, which is an independent oracle.
 """
 
 from __future__ import annotations
@@ -26,13 +29,11 @@ from types import MappingProxyType
 from .coeffs import QPoly, QRat, _add_term
 from .memo import memo
 from .symfunc import SCHUR, SymFunc, format_linear, schur
-from .vertexop import apply_H_any
+from .vertexop import apply_H_word
 from .weights import (
-    conjugate,
     is_dominant,
     partitions_of,
     straighten,
-    subpartitions,
     vertical_strip_grow,
     vertical_strip_shrink,
 )
@@ -239,78 +240,61 @@ def _move_relation(mu, a: int, nu) -> OpSum:
 
 
 @memo
-def _ssyt_contents(theta, nvars: int) -> MappingProxyType:
-    """Content vectors (length nvars) with multiplicity, over semistandard
-    fillings of theta with entries at most nvars."""
-    if not theta:
-        return MappingProxyType({(0,) * nvars: 1})
-    if len(theta) > nvars:
-        return MappingProxyType({})
-    out: dict = {}
-    rows: list = []
-
-    def fill(i: int):
-        if i == len(theta):
-            content = [0] * nvars
-            for row in rows:
-                for v in row:
-                    content[v - 1] += 1
-            t = tuple(content)
-            out[t] = out.get(t, 0) + 1
-            return
-        above = rows[i - 1] if i else None
-        row = [0] * theta[i]
-
-        def cell(j: int):
-            if j == theta[i]:
-                rows.append(tuple(row))
-                fill(i + 1)
-                rows.pop()
-                return
-            lo = 1 if j == 0 else row[j - 1]
-            if above is not None and j < len(above):
-                lo = max(lo, above[j] + 1)
-            for v in range(lo, nvars + 1):
-                row[j] = v
-                cell(j + 1)
-
-        cell(0)
-
-    fill(0)
-    return MappingProxyType(out)
+def _dual_cauchy(l: int, k: int) -> MappingProxyType:
+    """prod over i < l, j < k of (1 - q y_i z_j) as {(y exponents, z
+    exponents): QPoly}, multiplied out one factor at a time with integer
+    counts of 0/1 matrices by row and column sums.  By the dual Cauchy
+    identity it is the sum over theta in the l x k box of
+    (-q)^|theta| s_theta(y) s_theta'(z)."""
+    counts = {((0,) * l, (0,) * k): 1}
+    for i in range(l):
+        for j in range(k):
+            for (y, z), n in list(counts.items()):
+                key = (y[:i] + (y[i] + 1,) + y[i + 1:], z[:j] + (z[j] + 1,) + z[j + 1:])
+                counts[key] = counts.get(key, 0) + n
+    return MappingProxyType({(y, z): _minus_q_power(sum(y)) * n
+                             for (y, z), n in counts.items()})
 
 
 def _bigmove_relation(alpha, beta, gamma) -> OpSum:
-    """Factor-swapping relation obtained from the full Cauchy-twisted
-    commutation of generating series, expanded through the finite dual
-    Cauchy sums over partitions in a box.  Zero as an operator."""
+    """Factor-swapping relation between factor lengths (k+l, k) and
+    (k, l+k), from the Cauchy-twisted commutation of generating series:
+    _dual_cauchy(l, k) raises beta and lowers gamma, minus
+    _dual_cauchy(k, l) raising alpha and lowering beta.  Zero as an operator."""
     alpha, beta, gamma = tuple(alpha), tuple(beta), tuple(gamma)
     k, l = len(gamma), len(beta)
     if len(alpha) != k:
         raise ValueError("first and third weights must have equal length")
     raw: dict = {}
-    for theta in subpartitions((k,) * l):
-        c = _minus_q_power(sum(theta))
-        theta_c = conjugate(theta)
-        for mv, c1 in _ssyt_contents(theta, l).items():
-            first = alpha + tuple(beta[i] + mv[i] for i in range(l))
-            for mz, c2 in _ssyt_contents(theta_c, k).items():
-                second = tuple(gamma[i] - mz[i] for i in range(k))
-                _add_term(raw, (first, second), c * (c1 * c2))
-    for theta in subpartitions((l,) * k):
-        c = _minus_q_power(sum(theta))
-        theta_c = conjugate(theta)
-        for mu_, c1 in _ssyt_contents(theta, k).items():
-            first = tuple(alpha[i] + mu_[i] for i in range(k))
-            for mv2, c2 in _ssyt_contents(theta_c, l).items():
-                second = tuple(beta[i] - mv2[i] for i in range(l)) + gamma
-                _add_term(raw, (first, second), -(c * (c1 * c2)))
+    for (y, z), c in _dual_cauchy(l, k).items():
+        first = alpha + tuple(b + e for b, e in zip(beta, y))
+        _add_term(raw, (first, tuple(g - e for g, e in zip(gamma, z))), c)
+    for (x, y), c in _dual_cauchy(k, l).items():
+        second = tuple(b - e for b, e in zip(beta, y)) + gamma
+        _add_term(raw, (tuple(a + e for a, e in zip(alpha, x)), second), -c)
     return normalize(raw)
+
+
+# Identities of rectangular operators H_{(a^k)}, as (word, coeff) terms of lhs - rhs
+_FAMILIES = {
+    # H_{(a^n)} H_{(a^k)} = H_{(a^k)} H_{(a^n)}
+    "same-width": lambda a, k, n: [(((a,) * n, (a,) * k), 1),
+                                   (((a,) * k, (a,) * n), -1)],
+    # H_{(a^k)} H_{((a+1)^k)} = q^k H_{((a+1)^k)} H_{(a^k)}
+    "one-more": lambda a, k: [(((a,) * k, (a + 1,) * k), 1),
+                              (((a + 1,) * k, (a,) * k), -QPoly.monomial(k))],
+    # H_{(a^k)} H_{(a^k)} = H_{(a^(k+1))} H_{(a^(k-1))} + q^k H_{((a+1)^k)} H_{((a-1)^k)}
+    "quad": lambda a, k: [(((a,) * k, (a,) * k), 1),
+                          (((a,) * (k + 1), (a,) * (k - 1)), -1),
+                          (((a + 1,) * k, (a - 1,) * k), -QPoly.monomial(k))],
+}
 
 
 def relation_instance(kind: str, **params) -> OpSum:
     """A relation instance as a normalized OpSum equal to the zero
-    operator; certify with operators_equal against the empty sum."""
+    operator; certify with operators_equal against the empty sum.
+    Parameters: com1 (mu, a, b, nu), com2 and move (mu, a, nu), bigmove
+    (alpha, beta, gamma), same-width (a, k, n), one-more and quad (a, k)."""
     kind = kind.lower()
     if kind == "com1":
         return _com1_relation(params["mu"], params["a"], params["b"], params["nu"])
@@ -320,18 +304,18 @@ def relation_instance(kind: str, **params) -> OpSum:
         return _move_relation(params["mu"], params["a"], params["nu"])
     if kind == "bigmove":
         return _bigmove_relation(params["alpha"], params["beta"], params["gamma"])
+    if kind in _FAMILIES:
+        raw: dict = {}
+        for word, c in _FAMILIES[kind](**params):
+            _add_term(raw, word, _coeff(c))
+        return normalize(raw)
     raise ValueError(f"unknown relation kind {kind!r}")
 
 
 # -- evaluation (the independent certificate) ------------------------------
 
 
-def evaluate_word(word, f: SymFunc) -> SymFunc:
-    """Apply a word of arbitrary integer blocks, rightmost first."""
-    out = f
-    for block in reversed(_as_word(word)):
-        out = apply_H_any(block, out)
-    return out
+evaluate_word = apply_H_word
 
 
 def evaluate(opsum: OpSum, f: SymFunc) -> SymFunc:

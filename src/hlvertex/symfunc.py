@@ -12,13 +12,12 @@ caller can alter a cached value.
 
 from __future__ import annotations
 
-import itertools
 import math
 from types import MappingProxyType
 
-from .coeffs import QPoly, QRat, _add_term
+from .coeffs import QPoly, QRat, _add_term, _as_qrat
 from .memo import memo
-from .weights import is_dominant, partitions_of, trim_zeros
+from .weights import is_dominant, partitions_of, trim_zeros, vertical_strip_shrink
 
 SCHUR = "schur"
 POWERSUM = "powersum"
@@ -263,7 +262,7 @@ class SymFunc:
         t = {}
         if terms:
             for idx, c in terms.items():
-                if not isinstance(c, QRat):
+                if not isinstance(c, QRat):  # inline: this loop is hot
                     c = QRat(c)
                 if not c.is_zero():
                     t[trim_zeros(idx)] = c
@@ -316,8 +315,7 @@ class SymFunc:
         return self + (-other)
 
     def scale(self, c) -> "SymFunc":
-        if not isinstance(c, QRat):
-            c = QRat(c)
+        c = _as_qrat(c)
         if c.is_zero():
             return SymFunc(self.basis)
         return _symfunc(self.basis, {idx: v * c for idx, v in self._terms.items()})
@@ -538,19 +536,12 @@ def elementary_perp(k: int, f: SymFunc) -> SymFunc:
         return SymFunc.zero(SCHUR)
     if k == 0:
         return f
-    fs = convert(f, SCHUR)
     out: dict = {}
-    for lam, c in fs._terms.items():
-        L = len(lam)
-        if k > L:
-            continue
-        for rows in itertools.combinations(range(L), k):
-            mu = list(lam)
-            for i in rows:
-                mu[i] -= 1
-            if any(mu[i] < mu[i + 1] for i in range(L - 1)) or (mu and mu[-1] < 0):
-                continue
-            _add_term(out, trim_zeros(tuple(mu)), c)
+    for lam, c in convert(f, SCHUR)._terms.items():
+        # lam is trimmed, so every strip removed from it leaves a partition
+        for mu in vertical_strip_shrink(lam):
+            if sum(lam) - sum(mu) == k:
+                _add_term(out, trim_zeros(mu), c)
     return SymFunc(SCHUR, out)
 
 
@@ -568,9 +559,7 @@ class PowerSumSubst:
     phi(1) by q -> q^k."""
 
     def __init__(self, scale: QRat, variables: bool = True, name: str = ""):
-        if not isinstance(scale, QRat):
-            scale = QRat(scale)
-        self._base = scale
+        self._base = _as_qrat(scale)
         self.variables = variables
         self.name = name
 
@@ -596,8 +585,7 @@ X_OVER_1MQ.name = "X/(1-q)"
 
 
 def constant_alphabet(scale) -> PowerSumSubst:
-    return PowerSumSubst(scale if isinstance(scale, QRat) else QRat(scale),
-                         variables=False)
+    return PowerSumSubst(scale, variables=False)
 
 
 def plethysm_substitute(f: SymFunc, subst: PowerSumSubst) -> SymFunc:

@@ -139,10 +139,11 @@ def apply_H_any(v, f: SymFunc) -> SymFunc:
 
 
 def apply_H_word(blocks, f: SymFunc) -> SymFunc:
-    """Apply a composite of vertex operators, rightmost block first."""
+    """Apply a composite of vertex operators indexed by arbitrary integer
+    weights, rightmost block first."""
     out = f
     for block in reversed(tuple(blocks)):
-        out = apply_H(tuple(block), out)
+        out = apply_H_any(block, out)
     return out
 
 

@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 import hlvertex
+import hlvertex.cli as cli
 from hlvertex.cli import main
+from hlvertex.rewrite import relation_instance
 
 
 def run(capsys, *argv):
@@ -164,6 +166,13 @@ class TestTableCommand:
 
 
 class TestCheckCommand:
+    def test_identity_cases_are_not_empty(self):
+        # only same-width with k == n is lhs - rhs == 0 as a formal sum
+        assert len(cli._IDENTITY_CASES) == 24
+        for kind, params in cli._IDENTITY_CASES:
+            rel = relation_instance(kind, **params)
+            assert rel.is_zero() == (kind == "same-width" and params["k"] == params["n"])
+
     def test_identities_suite(self, capsys):
         code, out, _ = run(capsys, "check", "--suite", "identities",
                            "--max-degree", "3")

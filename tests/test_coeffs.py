@@ -52,10 +52,41 @@ class TestQPoly:
         assert qp({2: 3}) * 0 == QPoly.zero()
         assert qp({2: 3}) * -2 == qp({2: -6})
 
+    def test_qrat_operand_defers_to_qrat(self):
+        # QPoly leaves a QRat operand to QRat's reflected method
+        assert QPoly.q() * Q == Q ** 2
+        assert QPoly.q() + Q == Q * 2
+        assert QPoly.q() - Q == QRat.zero()
+        assert isinstance(QPoly.q() * Q, QRat)
+
+    def test_bad_operand_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            QPoly.q() + "x"
+        with pytest.raises(TypeError):
+            QPoly.q() * "x"
+        with pytest.raises(TypeError):
+            QRat("x")
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_power_substitution_needs_positive_k(self, k):
+        # q -> q^0 would send q + q^2 to 2; both types refuse it alike
+        for c in (qp({1: 1, 2: 1}), qr({1: 1, 2: 1})):
+            with pytest.raises(ValueError, match="k >= 1"):
+                c.subs_qpower(k)
+
 
 class TestQRatExamples:
     def test_add_cancel(self):
         assert Q + (-Q) == QRat.zero()
+
+    def test_power_matches_repeated_product(self):
+        # equality is structural, so this also checks the canonical form
+        a = qr({0: 1, 2: -3}, {0: 2, 1: 1})
+        acc = QRat.one()
+        for n in range(5):
+            assert a ** n == acc
+            assert a ** -n == QRat.one() / acc
+            acc = acc * a
 
     def test_quotient_factors(self):
         assert qr({2: 1, 0: -1}, {1: 1, 0: -1}) == qr({1: 1, 0: 1})

@@ -85,6 +85,9 @@ class TestEvaluate:
     def test_nondominant_word_straightens(self):
         assert evaluate_word(((0, 2),), one()) == -schur((1, 1))
 
+    def test_one_word_evaluator(self):
+        assert evaluate_word is apply_H_word
+
 
 class TestRelationInstances:
     RELATIONS = [
@@ -123,6 +126,88 @@ class TestRelationInstances:
                 - OpSum({((a,) * k, (a,) * k): QRat.one()}) \
                 + OpSum({((a + 1,) * k, (a - 1,) * k): Q**k})
             assert rel == want
+
+
+class TestIdentityFamilies:
+    """Each identity kind is lhs - rhs term for term over criterion 4's
+    parameter boxes, so no kind can pass a check as the empty sum."""
+
+    def test_same_width(self):
+        for a in (0, 1, 2):
+            for k in (1, 2, 3):
+                for n in (1, 2, 3):
+                    want = OpSum({((a,) * n, (a,) * k): 1}) \
+                        - OpSum({((a,) * k, (a,) * n): 1})
+                    assert relation_instance("same-width", a=a, k=k, n=n) == want
+                    assert want.is_zero() == (n == k)
+
+    def test_one_more(self):
+        for a in (0, 1):
+            for k in (1, 2, 3):
+                want = OpSum({((a,) * k, (a + 1,) * k): 1}) \
+                    - OpSum({((a + 1,) * k, (a,) * k): Q**k})
+                assert relation_instance("one-more", a=a, k=k) == want
+                assert not want.is_zero()
+
+    def test_quad(self):
+        for a in (1, 2):
+            for k in (1, 2, 3):
+                want = OpSum({((a,) * k, (a,) * k): 1}) \
+                    - OpSum({((a,) * (k + 1), (a,) * (k - 1)): 1}) \
+                    - OpSum({((a + 1,) * k, (a - 1,) * k): Q**k})
+                assert relation_instance("quad", a=a, k=k) == want
+                assert not want.is_zero()
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown relation kind"):
+            relation_instance("triple", a=1, k=1)
+
+
+class TestBigmoveGolden:
+    """str() of bigmove instances (k = len(alpha), l = len(beta)), pinned
+    before its kernel became the dual Cauchy product."""
+
+    CASES = [
+        (((2, 1), (1, 0), (1, 1)),
+         "H[2,1,1,0]H[1,1] - q*H[2,1,1,1]H[1,0] - q^2*H[2,2,2,0]H[0,0] "
+         "+ q^3*H[2,2,2,1]H[0,-1] - q^4*H[2,2,2,2]H[-1,-1] - q^2*H[3,2]H[1,0,0,0] "
+         "+ q^3*H[3,3]H[0,0,0,0] + q^3*H[4,2]H[0,0,0,0]"),
+        (((1, 0), (2, 1), (0, -1)),
+         "-H[1,0]H[2,1,0,-1] + q*H[1,1]H[1,1,0,-1] + q*H[1,1]H[2,0,0,-1] "
+         "- H[1,1,1,1]H[0,-1] + q*H[2,0]H[1,1,0,-1] + q*H[2,0]H[2,0,0,-1] "
+         "- 2*q^2*H[2,1]H[1,0,0,-1] + q^3*H[2,2]H[0,0,0,-1] + q^2*H[2,2,1,1]H[-1,-2] "
+         "- q^4*H[2,2,2,2]H[-2,-3] - q^2*H[3,0]H[1,0,0,-1] + q^3*H[3,1]H[0,0,0,-1]"),
+        (((2, 1, 0), (1, 1), (1, 0, 0)),
+         "-H[2,1,0]H[1,1,1,0,0] + q*H[2,1,1,1,1]H[0,0,0] + q*H[2,1,1,1,1]H[1,0,-1] "
+         "+ q^2*H[2,2,1]H[1,0,0,0,0] - q^3*H[2,2,2]H[0,0,0,0,0] "
+         "- q^3*H[2,2,2,1,1]H[0,-1,-1] + q^5*H[2,2,2,2,2]H[-1,-1,-2] "
+         "+ q^5*H[2,2,2,2,2]H[0,-2,-2] + q^2*H[3,1,1]H[1,0,0,0,0] "
+         "+ q^2*H[3,2,0]H[1,0,0,0,0] - 2*q^3*H[3,2,1]H[0,0,0,0,0] "
+         "- q^3*H[3,3,0]H[0,0,0,0,0] - q^3*H[4,1,1]H[0,0,0,0,0] "
+         "- q^3*H[4,2,0]H[0,0,0,0,0]"),
+        (((1, 1), (1, 1, 1), (0, 0)),
+         "-H[1,1]H[1,1,1,0,0] + H[1,1,1,1,1]H[0,0] + q*H[2,1]H[1,1,0,0,0] "
+         "- q^2*H[3,1]H[1,0,0,0,0] + q^3*H[4,1]H[0,0,0,0,0]"),
+        (((1, 1, 1), (1, 1, 1), (0, 0, 0)),
+         "-H[1,1,1]H[1,1,1,0,0,0] + H[1,1,1,1,1,1]H[0,0,0] + q*H[2,1,1]H[1,1,0,0,0,0] "
+         "- q^2*H[3,1,1]H[1,0,0,0,0,0] + q^3*H[4,1,1]H[0,0,0,0,0,0]"),
+        (((2, 2), (2, 2, 2, 2), (1, 1)),
+         "-H[2,2]H[2,2,2,2,1,1] + H[2,2,2,2,2,2]H[1,1] + q*H[3,2]H[2,2,2,1,1,1] "
+         "- q^2*H[4,2]H[2,2,1,1,1,1] + q^3*H[5,2]H[2,1,1,1,1,1] "
+         "- q^4*H[6,2]H[1,1,1,1,1,1]"),
+        (((1, 1, 1, 1), (1, 1), (0, 0, 0, 0)),
+         "-H[1,1,1,1]H[1,1,0,0,0,0] + H[1,1,1,1,1,1]H[0,0,0,0] "
+         "+ q*H[2,1,1,1]H[1,0,0,0,0,0] - q^2*H[3,1,1,1]H[0,0,0,0,0,0]"),
+        (((1, 1, 1, 1), (1, 1, 1, 1), (0, 0, 0, 0)),
+         "-H[1,1,1,1]H[1,1,1,1,0,0,0,0] + H[1,1,1,1,1,1,1,1]H[0,0,0,0] "
+         "+ q*H[2,1,1,1]H[1,1,1,0,0,0,0,0] - q^2*H[3,1,1,1]H[1,1,0,0,0,0,0,0] "
+         "+ q^3*H[4,1,1,1]H[1,0,0,0,0,0,0,0] - q^4*H[5,1,1,1]H[0,0,0,0,0,0,0,0]"),
+    ]
+
+    @pytest.mark.parametrize("weights,want", CASES)
+    def test_str(self, weights, want):
+        alpha, beta, gamma = weights
+        assert str(relation_instance("bigmove", alpha=alpha, beta=beta, gamma=gamma)) == want
 
 
 class TestRewriteDominant:

@@ -194,6 +194,10 @@ class TestApplyHWord:
         f = schur((2,)).scale(Q ** 2)
         assert apply_H_word((), f) == f
 
+    def test_nondominant_block_straightens(self):
+        assert apply_H_word(((0, 2),), one()) == -schur((1, 1))
+        assert apply_H_word(((1, 2), (1,)), one()).is_zero()
+
     def test_q0_collapse_to_straightening(self):
         # composites of singletons at q=0 agree with the straightened
         # single operator
