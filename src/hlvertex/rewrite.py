@@ -39,6 +39,7 @@ from .weights import (
 )
 
 _MAX_STEPS = 100000
+_MAX_KERNEL_CELLS = 16  # l * k of a swap's dual Cauchy kernel; (5, 5) has 1475856 terms
 
 
 def _as_word(word) -> tuple:
@@ -477,12 +478,17 @@ def shift_support(word, direction: str) -> OpSum:
 def swap_factors(word) -> OpSum:
     """Rewrite a two-factor word as an operator-equal sum of words with
     the factor lengths exchanged.  Words whose factors already have equal
-    lengths are returned unchanged."""
+    lengths are returned unchanged; a swap whose dual Cauchy kernel has
+    more than _MAX_KERNEL_CELLS cells is refused with ValueError."""
     word = _check_two_dominant_factors(word)
     f1, f2 = word
     p, r = len(f1), len(f2)
     if p == r:
         return OpSum({word: 1})
+    l, k = abs(p - r), min(p, r)
+    if l * k > _MAX_KERNEL_CELLS:
+        raise ValueError(f"swapping factor lengths {p} and {r} needs the {l} x {k} "
+                         f"dual Cauchy kernel; at most {_MAX_KERNEL_CELLS} cells")
     if p > r:
         def relation(w):
             return _bigmove_relation(w[0][:r], w[0][r:], w[1])

@@ -4,8 +4,8 @@ A SymFunc is a finite sparse linear combination of basis elements indexed
 by partitions, in either the Schur basis ("schur") or the power-sum basis
 ("powersum").  Basis conversion goes through symmetric-group characters
 computed by the Murnaghan-Nakayama recursion; Schur-basis products and
-skews go through Littlewood-Richardson expansions enumerated directly on
-tableaux.  Characters, basis changes and expansions are memoized with
+skews go through one Littlewood-Richardson enumerator of ballot fillings
+of skew shapes.  Characters, basis changes and expansions are memoized with
 hlvertex.memo; the expansions come back as read-only mappings, so no
 caller can alter a cached value.
 """
@@ -17,7 +17,7 @@ from types import MappingProxyType
 
 from .coeffs import QPoly, QRat, _add_term, _as_qrat
 from .memo import memo
-from .weights import is_dominant, partitions_of, trim_zeros, vertical_strip_shrink
+from .weights import is_dominant, is_partition, partitions_of, trim_zeros, vertical_strip_shrink
 
 SCHUR = "schur"
 POWERSUM = "powersum"
@@ -110,6 +110,8 @@ def skew_schur_expansion(lam, mu) -> MappingProxyType:
 
 @memo
 def _skew_schur(lam, mu) -> MappingProxyType:
+    if not (is_partition(lam) and is_partition(mu)):
+        raise ValueError(f"{lam}/{mu} is not a skew shape of partitions")
     if len(mu) > len(lam) or any(mu[i] > lam[i] for i in range(len(mu))):
         return MappingProxyType({})
     mu_full = mu + (0,) * (len(lam) - len(mu))
@@ -156,57 +158,13 @@ def _skew_schur(lam, mu) -> MappingProxyType:
 
 
 def schur_product_expansion(mu, nu) -> MappingProxyType:
-    """Expansion {lam: c^lam_{mu,nu}} of a product of two Schur functions,
-    by growing ballot chains of horizontal strips on top of mu."""
+    """Expansion {lam: c^lam_{mu,nu}} of a product of two Schur functions, as
+    the skew of the two shapes placed corner to corner (Macdonald I.5)."""
     mu, nu = trim_zeros(mu), trim_zeros(nu)
     if (len(nu), nu) < (len(mu), mu):
         mu, nu = nu, mu  # symmetric; canonical cache key
-    return _schur_product(mu, nu)
-
-
-@memo
-def _schur_product(mu, nu) -> MappingProxyType:
-    maxlen = len(mu) + len(nu)
-    shape = list(mu) + [0] * (maxlen - len(mu))
-    out: dict = {}
-
-    def add_value(r: int, prevcum: list):
-        if r == len(nu):
-            lam = trim_zeros(tuple(shape))
-            out[lam] = out.get(lam, 0) + 1
-            return
-        adds = [0] * maxlen
-
-        def commit(upto: int):
-            for t in range(upto, maxlen):
-                adds[t] = 0
-            newcum = [0] * (maxlen + 1)
-            for t in range(maxlen):
-                newcum[t + 1] = newcum[t] + adds[t]
-                shape[t] += adds[t]
-            add_value(r + 1, newcum)
-            for t in range(maxlen):
-                shape[t] -= adds[t]
-
-        def fill_row(i: int, rem: int, cum: int):
-            if rem == 0:
-                commit(i)
-                return
-            if i >= maxlen:
-                return
-            cap = rem
-            if i > 0:
-                cap = min(cap, shape[i - 1] - shape[i])  # horizontal strip
-            if r > 0:
-                cap = min(cap, prevcum[i] - cum)  # ballot prefix condition
-            for a in range(cap, -1, -1):
-                adds[i] = a
-                fill_row(i + 1, rem - a, cum + a)
-
-        fill_row(0, nu[r], 0)
-
-    add_value(0, [0] * (maxlen + 1))
-    return MappingProxyType(out)
+    w = mu[0] if mu else 0  # nu on top, where its ballot filling is forced
+    return _skew_schur(tuple(x + w for x in nu) + mu, trim_zeros((w,) * len(nu)))
 
 
 def lr_coefficient(lam, mu, nu) -> int:

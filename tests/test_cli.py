@@ -91,6 +91,13 @@ class TestWordCommands:
         code, out, _ = run(capsys, "swap", "--word", "H[1]H[1,1]")
         assert code == 0 and out.strip() == "H[1,1]H[1]"
 
+    def test_swap_past_kernel_limit_exits_2(self, capsys):
+        # factor lengths 10 and 5 need the 5 x 5 dual Cauchy kernel
+        code, out, err = run(capsys, "swap", "--word",
+                             "H[1,1,1,1,1,1,1,1,1,1]H[1,1,1,1,1]")
+        assert code == 2 and out == ""
+        assert "5 x 5 dual Cauchy kernel" in err
+
     def test_eval(self, capsys):
         code, out, _ = run(capsys, "eval", "--word", "H[1]", "--on-schur", "1")
         assert code == 0 and out.strip() == "s[1,1] + q*s[2]"

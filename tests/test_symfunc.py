@@ -35,7 +35,13 @@ from hlvertex.symfunc import (
     symmetric_group_character,
     z_of,
 )
-from hlvertex.weights import dominant_weights, dual_weight, partitions_of, trim_zeros
+from hlvertex.weights import (
+    dominant_weights,
+    dual_weight,
+    partitions_of,
+    subpartitions,
+    trim_zeros,
+)
 
 Q = QRat.q()
 HALF = QRat(1, 2)
@@ -106,12 +112,14 @@ class TestMultiply:
     def test_schur_route_matches_powersum_route(self):
         # the power-sum product (index concatenation) is an independent
         # oracle for the Littlewood-Richardson route
-        for mu, nu in [((2, 1), (2, 1)), ((3,), (2, 2)), ((1, 1, 1), (2,)),
-                       ((2, 2), (2, 1))]:
-            via_lr = multiply(schur(mu), schur(nu))
-            via_p = convert(multiply(convert(schur(mu), POWERSUM),
-                                     convert(schur(nu), POWERSUM)), SCHUR)
-            assert via_lr == via_p
+        for da in range(8):
+            for db in range(8 - da):
+                for mu in partitions_of(da):
+                    for nu in partitions_of(db):
+                        via_lr = multiply(schur(mu), schur(nu))
+                        via_p = convert(multiply(convert(schur(mu), POWERSUM),
+                                                 convert(schur(nu), POWERSUM)), SCHUR)
+                        assert via_lr == via_p
 
 
 class TestScalarProduct:
@@ -165,12 +173,13 @@ class TestSkew:
             assert lhs == rhs
 
     def test_basis_routes_agree(self):
-        for mu in [(1,), (2,), (2, 1)]:
-            for lam in [(2, 1), (3, 1), (2, 2, 1)]:
-                s_route = skew(schur(mu), schur(lam))
-                p_route = convert(skew(convert(schur(mu), POWERSUM),
-                                       convert(schur(lam), POWERSUM)), SCHUR)
-                assert s_route == p_route
+        for d in range(7):
+            for lam in partitions_of(d):
+                for mu in subpartitions(lam):
+                    s_route = skew(schur(mu), schur(lam))
+                    p_route = convert(skew(convert(schur(mu), POWERSUM),
+                                           convert(schur(lam), POWERSUM)), SCHUR)
+                    assert s_route == p_route
 
 
 class TestElementaryPerp:
@@ -336,6 +345,18 @@ class TestLittlewoodRichardson:
     def test_skew_expansion_known(self):
         assert skew_schur_expansion((2, 1), (1,)) == {(2,): 1, (1, 1): 1}
         assert skew_schur_expansion((2, 2), (1,)) == {(2, 1): 1}
+
+    @pytest.mark.parametrize("expand, args", [
+        (skew_schur_expansion, ((1, 2), (1,))),
+        (skew_schur_expansion, ((3, -1), ())),
+        (skew_schur_expansion, ((2, 1), (0, 1))),
+        (schur_product_expansion, ((2, -1), (1,))),
+        (schur_product_expansion, ((1,), (2, -1))),
+        (schur_product_expansion, ((1, 2), ())),
+    ])
+    def test_non_partitions_raise(self, expand, args):
+        with pytest.raises(ValueError, match="not a skew shape of partitions"):
+            expand(*args)
 
 
 class TestRationalTensorMultiplicity:
