@@ -1,20 +1,25 @@
 """Hall-Littlewood vertex operators as executable linear operators.
 
-The operator indexed by a dominant weight nu of length k acts on a
+The operator indexed by a dominant weight nu of length k is defined on a
 symmetric function f as
 
     sum over partitions lam, mu with at most k parts of
         cbar(lam; mu, nu) * s_lam * (s_mu[X(q-1)])-perp f,
 
-where cbar is the GL(k) tensor multiplicity.  Only mu with |mu| <= deg f
-contribute, so the action is finite and exact.  It is the linear
-extension of a memoized kernel on Schur functions computed over Z[q];
-QRat appears only at the boundary.  Jing's operators are obtained by
+where cbar is the GL(k) tensor multiplicity; only mu with |mu| <= deg f
+contribute.  It is computed as the linear extension of a memoized kernel
+on Schur functions over Z[q], through Bernstein's operators: splitting
+the plethystic shift of H(z) f = Omega[zX] f[X + (q-1)/z] as q/z - 1/z
+gives H_m = sum over j of q^j S_{m+j} h_j-perp, and Bernstein's
+S_{a_1}...S_{a_k} s_rho = s_{(a, rho)} is a signed Schur function after
+straightening (Garsia 1992; Jing 1991; Macdonald I.5 Ex. 29).  QRat
+appears only at the boundary.  Jing's operators are obtained by
 conjugating with the plethystic twist X -> X(1-q).
 """
 
 from __future__ import annotations
 
+import itertools
 from types import MappingProxyType
 
 from .coeffs import QPoly, QRat, _add_term
@@ -26,33 +31,10 @@ from .symfunc import (
     X_TIMES_1MQ,
     convert,
     plethysm_substitute,
-    schur_product_expansion,
+    schur_product_expansion,  # noqa: F401  not called; perfbench/tests wraps it here
     skew_schur_expansion,
 )
-from .weights import (
-    conjugate,
-    is_dominant,
-    partitions_of,
-    straighten,
-    subpartitions,
-    trim_zeros,
-)
-
-@memo
-def _expansion_pairs(nu, mu):
-    """The (lam, cbar(lam; mu, nu)) pairs with cbar > 0, for a dominant nu
-    of length k and a partition mu with at most k parts.  Computed from
-    the product of Schur functions after shifting nu by a power of the
-    determinant character; only lam that are partitions survive."""
-    k = len(nu)
-    m = max(0, -nu[-1])
-    nu_shift = trim_zeros(tuple(x + m for x in nu))
-    out = []
-    for kappa, c in sorted(schur_product_expansion(mu, nu_shift).items()):
-        kp = kappa + (0,) * (k - len(kappa))
-        if len(kappa) <= k and kp[-1] >= m:
-            out.append((trim_zeros(tuple(x - m for x in kp)), c))
-    return tuple(out)
+from .weights import is_dominant, straighten, subpartitions, trim_zeros
 
 
 def _add_slot(dst: dict, terms, c: int, shift: int = 0) -> None:
@@ -69,42 +51,84 @@ def _frozen(acc: dict) -> MappingProxyType:
 
 
 @memo
-def _schur_alphabet_qm1(mu) -> MappingProxyType:
-    """s_mu[X(q-1)] expanded in the Schur basis over Z[q] (cached).
+def _compositions(n: int, k: int) -> tuple:
+    """The compositions of n into k nonnegative parts."""
+    if k == 0:
+        return ((),) if n == 0 else ()
+    return tuple((first,) + rest for first in range(n, -1, -1)
+                 for rest in _compositions(n - first, k - 1))
 
-    Splitting the alphabet as qX - X turns the plethysm into a sum over
-    subdiagrams nu of mu of q^|nu| (-1)^{|mu|-|nu|} s_nu times the
-    conjugated skew Schur function of mu/nu, so the whole expansion is
-    integer Littlewood-Richardson combinatorics."""
-    mu_c = conjugate(mu)
-    size = sum(mu)
-    acc: dict = {}
-    for nu in subpartitions(mu):
-        e = sum(nu)
-        sign = -1 if (size - e) % 2 else 1
-        for kappa, c1 in skew_schur_expansion(mu_c, conjugate(nu)).items():
-            for tau, c2 in schur_product_expansion(nu, kappa).items():
-                _add_slot(acc.setdefault(tau, {}), ((e, c2),), c1 * sign)
-    return _frozen(acc)
+
+def _strips_below(sigma, size: int):
+    """Yield the partitions tau with sigma/tau a horizontal strip of size
+    cells: those interlacing sigma, sigma_{i+1} <= tau_i <= sigma_i."""
+    floors = sigma[1:] + (0,)
+    for tau in itertools.product(*(range(lo, hi + 1) for lo, hi in zip(floors, sigma))):
+        if sum(sigma) - sum(tau) == size:
+            yield trim_zeros(tau)
+
+
+@memo
+def _tableau_count(sigma, gamma) -> int:
+    """The Kostka number K(sigma, gamma): semistandard tableaux of shape
+    sigma and content the composition gamma, counted by removing the
+    horizontal strip of the largest letter."""
+    if len(sigma) > len(gamma) or sum(sigma) != sum(gamma):
+        return 0
+    if not gamma:
+        return 1
+    rest = gamma[:-1]
+    return sum(_tableau_count(tau, rest) for tau in _strips_below(sigma, gamma[-1]))
+
+
+@memo
+def _bernstein_terms(kappa, k: int) -> tuple:
+    """The (gamma, ((rho, m), ...)) with m = sum over sigma of
+    K(sigma, gamma) * c^kappa_{sigma,rho} nonzero, gamma running over the
+    compositions into k parts.  Depends on nu only through its length."""
+    terms: dict = {}
+    for sigma in subpartitions(kappa):
+        if len(sigma) > k:
+            continue
+        skews = skew_schur_expansion(kappa, sigma).items()
+        for gamma in _compositions(sum(sigma), k):
+            count = _tableau_count(sigma, gamma)
+            if count:
+                slot = terms.setdefault(gamma, {})
+                for rho, c in skews:
+                    slot[rho] = slot.get(rho, 0) + count * c
+    return tuple((gamma, tuple((rho, m) for rho, m in slot.items() if m))
+                 for gamma, slot in terms.items())
 
 
 @memo
 def _H_schur(nu, kappa) -> MappingProxyType:
-    """The kernel H_nu(s_kappa) over Z[q], in _frozen form.  Skews are
-    gathered per factor pair s_lam * s_rho, shared across mu, before the
-    products are expanded."""
-    factors: dict = {}
-    for d in range(sum(kappa) + 1):
-        for mu in partitions_of(d, max_len=len(nu)):
-            pairs = _expansion_pairs(nu, mu)
-            for tau, terms in _schur_alphabet_qm1(mu).items():
-                for rho, m in skew_schur_expansion(kappa, tau).items():
-                    for lam, c in pairs:
-                        _add_slot(factors.setdefault((lam, rho), {}), terms, m * c)
+    """The kernel H_nu(s_kappa) over Z[q], in _frozen form, by Bernstein's
+    operators: with k = len(nu),
+
+        H_nu(s_kappa) = sum over sigma in kappa with at most k rows of
+            q^|sigma| sum over compositions gamma of |sigma| into k parts of
+            K(sigma, gamma) sum over rho of c^kappa_{sigma,rho}
+            s_{(nu + gamma, rho)},
+
+    where s_v of an integer vector is its Jacobi-Trudi determinant: after
+    straightening, a signed Schur function, or zero when straightening
+    vanishes or leaves a negative last part.  Derivation: H_nu f is the
+    coefficient of z^nu in prod_{i<j} (1 - z_j/z_i) Omega[ZX]
+    f[X + (q-1)/Z].  Splitting (q-1)/Z as q/Z - 1/Z gives the sum over
+    sigma of s_sigma[q/Z] (s_sigma-perp f)[X - 1/Z], and the Weyl factor
+    times Omega[ZX] g[X - 1/Z] is Bernstein's ordered product, whose
+    z^a coefficient on s_rho is s_{(a, rho)} (Garsia 1992; Jing 1991;
+    Macdonald I.5 Ex. 29).  This holds for negative entries of nu too."""
     acc: dict = {}
-    for (lam, rho), slot in factors.items():
-        for idx, m in schur_product_expansion(lam, rho).items():
-            _add_slot(acc.setdefault(idx, {}), slot.items(), m)
+    for gamma, rhos in _bernstein_terms(kappa, len(nu)):
+        e = sum(gamma)
+        head = tuple(a + g for a, g in zip(nu, gamma))
+        for rho, m in rhos:
+            sign, lam = straighten(head + rho)
+            if sign and (not lam or lam[-1] >= 0):
+                slot = acc.setdefault(trim_zeros(lam), {})
+                slot[e] = slot.get(e, 0) + sign * m
     return _frozen(acc)
 
 

@@ -7,6 +7,7 @@ length 0 (it indexes the identity operator).  All functions are pure.
 from __future__ import annotations
 
 import itertools
+from operator import add, gt, sub
 
 
 def rho(k: int) -> tuple:
@@ -55,19 +56,23 @@ def straighten(v):
     """
     v = tuple(v)
     k = len(v)
-    if k == 0:
-        return 1, ()
-    w = [v[i] + (k - 1 - i) for i in range(k)]
+    shift = range(k - 1, -1, -1)
+    w = list(map(add, v, shift))
+    if all(map(gt, w, w[1:])):  # v is already dominant
+        return 1, v
     if len(set(w)) < k:
         return 0, None
-    inversions = 0
-    for i in range(k):
-        for j in range(i + 1, k):
-            if w[i] < w[j]:
-                inversions += 1
-    w.sort(reverse=True)
-    nu = tuple(w[i] - (k - 1 - i) for i in range(k))
-    return (-1) ** inversions, nu
+    # the sign is the parity of the sorting permutation: k minus its cycles
+    order = sorted(range(k), key=w.__getitem__, reverse=True)
+    parity = k
+    seen = [False] * k
+    for i in order:
+        if not seen[i]:
+            parity -= 1
+            while not seen[i]:
+                seen[i] = True
+                i = order[i]
+    return (-1 if parity & 1 else 1), tuple(map(sub, map(w.__getitem__, order), shift))
 
 
 def is_vertical_strip(nu, mu) -> bool:

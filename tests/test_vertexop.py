@@ -1,6 +1,9 @@
 """Vertex operators: normalization properties, specializations, twists."""
 
+import hashlib
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -24,6 +27,7 @@ from hlvertex.symfunc import (
 )
 from hlvertex.vertexop import (
     _H_schur,
+    _tableau_count,
     apply_B,
     apply_F,
     apply_H,
@@ -94,7 +98,8 @@ def oracle_apply_H(nu, f):
 
 
 ORACLE_BLOCKS = [(1,), (0,), (-1,), (2, 0), (0, 0), (1, -1), (2, 1),
-                 (1, 1, 0), (2, 0, -1)]
+                 (1, 1, 0), (2, 0, -1), (3, 3), (1, 1, 1, 1), (2, 2, 0, -2),
+                 (4, 2, 1)]
 MIXED = (schur((2, 1)).scale(Q**2 - 1)
          + schur((1,)).scale(QRat.one() / (1 - Q))
          + schur((2,)).scale(QRat(QPoly({-1: 2})))
@@ -104,7 +109,7 @@ MIXED = (schur((2, 1)).scale(Q**2 - 1)
 class TestKernelAgainstOracle:
     @pytest.mark.parametrize("nu", ORACLE_BLOCKS)
     def test_schur_inputs(self, nu):
-        for d in range(4):
+        for d in range(6):
             for tau in partitions_of(d):
                 assert apply_H(nu, schur(tau)) == oracle_apply_H(nu, schur(tau))
 
@@ -117,6 +122,83 @@ class TestKernelAgainstOracle:
         for f in (one(), schur((1,)), schur((1, 1)).scale(Q) - schur((2,))):
             want = apply_F(oracle_apply_H(nu, apply_F(f, inverse=True)))
             assert apply_B(nu, f) == want
+
+
+def brute_force_contents(sigma, k):
+    """Counter of the contents of all semistandard tableaux of shape sigma
+    with entries 1..k, by filling the cells row by row."""
+    cells = [(i, j) for i, part in enumerate(sigma) for j in range(part)]
+    out = Counter()
+    filling = {}
+
+    def fill(n):
+        if n == len(cells):
+            out[tuple(sum(1 for v in filling.values() if v == x)
+                      for x in range(1, k + 1))] += 1
+            return
+        i, j = cells[n]
+        lo = max(filling.get((i, j - 1), 1), filling.get((i - 1, j), 0) + 1)
+        for v in range(lo, k + 1):
+            filling[i, j] = v
+            fill(n + 1)
+        filling.pop((i, j), None)
+
+    fill(0)
+    return out
+
+
+def compositions(n, k):
+    return [c for c in itertools.product(range(n + 1), repeat=k) if sum(c) == n]
+
+
+class TestTableauCounts:
+    def test_against_brute_force(self):
+        for d in range(7):
+            for sigma in partitions_of(d):
+                for k in range(5):
+                    want = brute_force_contents(sigma, k)
+                    for gamma in compositions(d, k):
+                        assert _tableau_count(sigma, gamma) == want[gamma], (sigma, gamma)
+
+    def test_too_many_rows(self):
+        for sigma in [(1, 1), (2, 1, 1), (1, 1, 1, 1, 1)]:
+            for k in range(len(sigma)):
+                for gamma in compositions(sum(sigma), k):
+                    assert _tableau_count(sigma, gamma) == 0
+
+    def test_symmetric_in_content(self):
+        for sigma in [(3, 2, 1), (4, 2), (2, 2, 1, 1), (5, 1)]:
+            for gamma in [(2, 2, 1, 1), (3, 1, 2, 0), (0, 4, 1, 1), (1, 1, 1, 3)]:
+                counts = {_tableau_count(sigma, g) for g in itertools.permutations(gamma)}
+                assert len(counts) == 1, (sigma, gamma, counts)
+
+    def test_own_content_counts_once(self):
+        for d in range(8):
+            for sigma in partitions_of(d):
+                assert _tableau_count(sigma, sigma) == 1
+
+
+GOLDEN_BLOCKS = [(1,), (0,), (-1,), (3,), (2, 1), (2, 0, -1), (0, -1), (3, 3),
+                 (4, 2, 1), (1, 1, 1, 1), (2, 2, 0, -2), (5, 1, 0), (3, 2, 2, 1)]
+# SHA-256 of the kernel on GOLDEN_BLOCKS x every partition of degree <= 6,
+# recorded from the defining tensor-multiplicity expansion
+GOLDEN_KERNEL_SHA256 = "48eaa883d96e81965212039c2afd678663b6538c973ccb4dcbf383444b7d1749"
+
+
+class TestKernelGolden:
+    def test_kernel_digest(self):
+        h = hashlib.sha256()
+        pairs = 0
+        for nu in GOLDEN_BLOCKS:
+            for d in range(7):
+                for kappa in partitions_of(d):
+                    image = _H_schur(nu, kappa)
+                    canon = sorted((idx, tuple(sorted(t))) for idx, t in image.items())
+                    h.update(repr((nu, kappa)).encode())
+                    h.update(repr(canon).encode())
+                    pairs += 1
+        assert pairs == 390
+        assert h.hexdigest() == GOLDEN_KERNEL_SHA256
 
 
 laurent = st.dictionaries(st.integers(-2, 3), st.integers(-3, 3),

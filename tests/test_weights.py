@@ -49,15 +49,17 @@ class TestStraighten:
                 assert straighten(nu) == (1, nu)
 
     def test_adjacent_swap_flips_sign(self):
-        # exchanging entries through the shifted action negates the sign
-        for v in itertools.product(range(-2, 4), repeat=3):
-            for i in range(2):
-                w = list(v)
-                w[i], w[i + 1] = v[i + 1] - 1, v[i] + 1
-                s1, n1 = straighten(v)
-                s2, n2 = straighten(tuple(w))
-                assert n1 == n2
-                assert s1 == -s2
+        # exchanging entries through the shifted action negates the sign;
+        # with idempotence on dominant weights this fixes every sign
+        for length in range(2, 6):
+            for v in itertools.product(range(-2, 4), repeat=length):
+                for i in range(length - 1):
+                    w = list(v)
+                    w[i], w[i + 1] = v[i + 1] - 1, v[i] + 1
+                    s1, n1 = straighten(v)
+                    s2, n2 = straighten(tuple(w))
+                    assert n1 == n2
+                    assert s1 == -s2
 
     def test_result_always_dominant(self):
         for v in itertools.product(range(-3, 4), repeat=4):
