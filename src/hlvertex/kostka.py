@@ -1,12 +1,12 @@
 """Generalized Kostka polynomials by two independent engines.
 
 The Kostant engine antisymmetrizes a block-triangular partition-function
-count: a depth-first walk over the symmetric group, cut wherever no map
-can reach the partial weight, sums signed kostant_series values, each
-counted by a dynamic program over multisets of unspent supplies rather
-than by visiting maps.  The vertex engine reads Schur coefficients off a
-composite of Hall-Littlewood vertex operators applied to 1.  Agreement of
-the two is the library's central cross-check; neither uses the other.
+count: a depth-first walk over the symmetric group advances one forward
+count over multisets of unspent supplies block by block, so permutations
+sharing a prefix share its count, and refuses past a fixed node budget.
+The vertex engine reads Schur coefficients off a composite of
+Hall-Littlewood vertex operators applied to 1.  Agreement of the two is
+the library's central cross-check; neither uses the other.
 """
 
 from __future__ import annotations
@@ -29,6 +29,9 @@ from .weights import (
 )
 
 log = logging.getLogger(__name__)
+
+# the most nodes the Kostant engine's permutation walk may visit
+_MAX_WALK_NODES = 100_000
 
 
 def shape_of(gamma) -> tuple:
@@ -59,79 +62,73 @@ def kostant_series(eta, d) -> QPoly:
     Read m as units flowing from each position to positions of later
     blocks.  Crossing each cut p then carries exactly the prefix sum
     d_1 + ... + d_p, which detects infeasibility (negative prefix,
-    nonzero total) outright and caps what a position may send on.
-
-    The maps are counted, not visited, by a dynamic program over the
-    positions in order.  Before position j the state is two sorted
-    tuples of the nonzero supplies still held: those of earlier blocks,
-    all equally valid sources for j, and those of j's own block, which
-    join the first tuple when the next block starts.  At each state the
-    program enumerates how many units j takes from each source, shifts
-    the count of the remaining positions by the units taken, and
-    memoizes per call; results are memoized across calls too.
+    nonzero total) outright and caps what a position may send on.  The
+    maps are counted, not visited, by folding _advance over the blocks.
     """
     eta, d = tuple(eta), tuple(d)
     if len(d) != sum(eta):
         raise ValueError("weight length must match the shape")
-    return _kostant_series(eta, d)
+    prefix = tuple(itertools.accumulate(d))
+    if (prefix and prefix[-1] != 0) or any(p < 0 for p in prefix):
+        return QPoly.zero()
+    frontier = {((), ()): {0: 1}}
+    for start, size in zip(itertools.accumulate((0,) + eta), eta):
+        block = slice(start, start + size)
+        frontier = _advance(frontier, d[block], prefix[block])
+    return QPoly(frontier.get(((), ()), {}))
+
+
+def _advance(frontier, d_block, prefix_block) -> dict:
+    """Push the forward count {(earlier, own): {|m|: count}} through one
+    block.  A state holds the sorted nonzero supplies still unspent: those
+    of earlier blocks, all valid sources for the next position, and the
+    block's own, which join them when it closes.  A position's units
+    cross every cut to the block's end, which caps them by the least
+    prefix sum there."""
+    last = len(d_block) - 1
+    for k, dj in enumerate(d_block):
+        cap = min(prefix_block[k:])
+        nxt: dict = {}
+        for (earlier, own), series in frontier.items():
+            for (state, taken), ways in _moves(earlier, own, dj, cap, k == last).items():
+                acc = nxt.setdefault(state, {})
+                for e, c in series.items():
+                    acc[e + taken] = acc.get(e + taken, 0) + ways * c
+        frontier = nxt
+    return frontier
 
 
 @memo
-def _kostant_series(eta, d) -> QPoly:
-    n = sum(eta)
-    prefix = list(itertools.accumulate(d))
-    if (prefix and prefix[-1] != 0) or any(p < 0 for p in prefix):
-        return QPoly.zero()
-    block_end = []
-    for size in eta:
-        block_end.extend([len(block_end) + size - 1] * size)
-    # units leaving position j cross every cut from j to the end of its block
-    cap = [min(prefix[j:block_end[j] + 1]) for j in range(n)]
-    table: dict = {}
+def _moves(earlier, own, dj, cap, closes) -> dict:
+    """{(next state, units taken): ways} for one position of weight dj:
+    how many units it takes from each earlier supply, then what it holds.
+    Equal supplies make distinct maps that reach the same next state."""
+    need = max(0, -dj)
+    max_in = cap - dj
+    last = len(earlier)
+    left = [0] * last
+    moves: dict = {}
 
-    def count(j: int, earlier: tuple, own: tuple) -> dict:
-        if j == n:
-            return {0: 1}
-        state = (j, earlier, own)
-        found = table.get(state)
-        if found is not None:
-            return found
-        need = max(0, -d[j])
-        max_in = cap[j] - d[j]
-        last = len(earlier)
-        new_block = j + 1 < n and block_end[j + 1] != block_end[j]
-        left = [0] * last
-        # equal supplies make distinct maps that reach the same next state
-        moves: dict = {}
+    def distribute(si: int, taken: int, avail: int):
+        if taken + avail < need:
+            return
+        if si == last:
+            supply = dj + taken
+            rest = [r for r in left if r]
+            mine = list(own) + [supply] if supply else list(own)
+            if closes:
+                rest, mine = rest + mine, []
+            state = (tuple(sorted(rest)), tuple(sorted(mine)))
+            moves[state, taken] = moves.get((state, taken), 0) + 1
+            return
+        supply = earlier[si]
+        for take in range(min(supply, max_in - taken) + 1):
+            left[si] = supply - take
+            distribute(si + 1, taken + take, avail - supply)
 
-        def distribute(si: int, taken: int, avail: int):
-            if taken + avail < need:
-                return
-            if si == last:
-                supply = d[j] + taken
-                rest = [r for r in left if r]
-                mine = list(own) + [supply] if supply else list(own)
-                if new_block:
-                    move = (tuple(sorted(rest + mine)), (), taken)
-                else:
-                    move = (tuple(sorted(rest)), tuple(sorted(mine)), taken)
-                moves[move] = moves.get(move, 0) + 1
-                return
-            supply = earlier[si]
-            for take in range(min(supply, max_in - taken) + 1):
-                left[si] = supply - take
-                distribute(si + 1, taken + take, avail - supply)
-
-        if max_in >= need:
-            distribute(0, 0, sum(earlier))
-        out: dict = {}
-        for (nxt_earlier, nxt_own, taken), ways in moves.items():
-            for e, c in count(j + 1, nxt_earlier, nxt_own).items():
-                out[e + taken] = out.get(e + taken, 0) + ways * c
-        table[state] = out
-        return out
-
-    return QPoly(count(0, (), ()))
+    if max_in >= need:
+        distribute(0, 0, sum(earlier))
+    return moves
 
 
 def _validate_key(lam, gamma):
@@ -156,17 +153,13 @@ def kostka_kostant(lam, gamma) -> QPoly:
     """K(lam, gamma, eta)(q) by signed summation of kostant_series over
     the symmetric group.
 
-    The permutations are walked depth-first, assigning
-    d_i = lam_rho[perm(i)] - gamma_rho[i] one position at a time, and a
-    branch is cut as soon as no map can have weight d.  Units flow only
-    from a block to later blocks, so a map exists exactly when, for every
-    block, the prefix sum of d before the block plus the negative entries
-    of d within it stays nonnegative (which implies every prefix sum of d
-    is nonnegative).  Every leaf of the walk therefore has a nonzero
-    kostant_series.  Since lam_rho is strictly decreasing, so is the next
-    d_i over the values still free, and the first failing value ends the
-    scan at that depth.  The sign is carried along: choosing a value adds
-    the number of still-unused smaller values to the inversion count.
+    The walk assigns d_i = lam_rho[perm(i)] - gamma_rho[i] depth-first
+    and advances kostant_series' forward count as each block completes,
+    so leaves sharing a prefix share its count; an empty count cuts the
+    branch.  As lam_rho is strictly decreasing, the first free value that
+    makes a prefix sum negative ends the scan at that depth.  Choosing a
+    value adds the still-unused smaller values to the inversion count.
+    A walk of more than _MAX_WALK_NODES nodes raises ValueError.
     """
     return _kostka_kostant(*_validate_key(lam, gamma))
 
@@ -179,36 +172,43 @@ def _kostka_kostant(lam, gamma, eta) -> QPoly:
         return QPoly.zero()
     lam_rho = tuple(lam[i] + (n - 1 - i) for i in range(n))
     gamma_rho = tuple(flat[i] + (n - 1 - i) for i in range(n))
-    starts = set(itertools.accumulate(eta[:-1]))
+    ends = set(itertools.accumulate(eta))
     coeffs: dict = {}
     d = [0] * n
+    prefix = [0] * n
     used = [False] * n
+    nodes = itertools.count(1)
 
-    # partial: prefix sum of d[:i]; floor: that sum before i's block plus
-    # the negative entries of d in i's block so far
-    def walk(i: int, partial: int, floor: int, inversions: int):
+    # the block under way starts at position start; frontier counts d[:start]
+    def walk(i: int, start: int, frontier: dict, inversions: int):
+        if next(nodes) > _MAX_WALK_NODES:
+            raise ValueError(f"the Kostant walk at rank {n} passes {_MAX_WALK_NODES} "
+                             "nodes; use method=\"vertex\" (--method vertex)")
+        if i in ends:
+            frontier = _advance(frontier, d[start:i], prefix[start:i])
+            if not frontier:
+                return
+            start = i
         if i == n:
             sign = -1 if inversions % 2 else 1
-            for e, c in kostant_series(eta, d).items():
+            for e, c in frontier[(), ()].items():
                 coeffs[e] = coeffs.get(e, 0) + sign * c
             return
-        if i in starts:
-            floor = partial
+        partial = prefix[i - 1] if i else 0
         smaller = 0
         for v in range(n):
             if used[v]:
                 continue
             step = lam_rho[v] - gamma_rho[i]
-            low = floor + min(step, 0)
-            if low < 0:
+            if partial + step < 0:
                 break
             used[v] = True
-            d[i] = step
-            walk(i + 1, partial + step, low, inversions + smaller)
+            d[i], prefix[i] = step, partial + step
+            walk(i + 1, start, frontier, inversions + smaller)
             used[v] = False
             smaller += 1
 
-    walk(0, 0, 0, 0)
+    walk(0, 0, {((), ()): {0: 1}}, 0)
     return QPoly(coeffs)
 
 

@@ -62,6 +62,21 @@ class TestKostkaCommand:
         assert code == 0
         assert out == "0\n"
 
+    @staticmethod
+    def singleton(n):
+        return ("kostka", "--lambda", ",".join([str(n)] + ["0"] * (n - 1)),
+                "--gamma", ";".join(["1"] * n))
+
+    @pytest.mark.parametrize("method", ["kostant", "both"])
+    def test_kostant_walk_past_budget_exits_2(self, capsys, method):
+        code, out, err = run(capsys, *self.singleton(12), "--method", method)
+        assert code == 2 and out == ""
+        assert "rank 12 passes 100000 nodes" in err and "--method vertex" in err
+
+    def test_kostant_walk_within_budget(self, capsys):
+        code, out, _ = run(capsys, *self.singleton(11), "--method", "kostant")
+        assert (code, out) == (0, "q^55\n")
+
 
 class TestWordCommands:
     def test_straighten_zero(self, capsys):

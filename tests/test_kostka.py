@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 import types
 from fractions import Fraction
 
@@ -171,21 +172,28 @@ class TestEngines:
                            ((3, 3, 1, 0, 0, 0), ((2, 1), (2,), (1, 1, 0)))]:
             assert kostka_kostant(lam, gamma) == permutation_sum(lam, gamma)
 
-    def test_walk_reaches_only_nonzero_series(self, monkeypatch):
-        leaves = []
+    def test_walk_advances_only_nonempty_frontiers(self, monkeypatch):
+        frontiers = []
+        advance = kostka_module._advance
 
-        def recording(eta, d):
-            leaves.append(kostant_series(eta, d))
-            return leaves[-1]
+        def recording(frontier, d_block, prefix_block):
+            frontiers.append(frontier)
+            return advance(frontier, d_block, prefix_block)
 
         clear_caches()
-        monkeypatch.setattr(kostka_module, "kostant_series", recording)
+        monkeypatch.setattr(kostka_module, "_advance", recording)
         for eta in compositions(4):
             for d in range(0, 6):
                 for gamma in blocked_weights(eta, d, max_part=3):
                     for p in partitions_of(d, max_len=4):
                         kostka_kostant(pad_zeros(p, 4), gamma)
-        assert leaves and not any(s.is_zero() for s in leaves)
+        assert frontiers and all(frontiers)
+
+    def test_cold_rank_10_singleton_is_fast(self):
+        clear_caches()
+        start = time.perf_counter()
+        assert kostka_kostant((10,) + (0,) * 9, ((1,),) * 10) == QPoly({45: 1})
+        assert time.perf_counter() - start < 2.0
 
     def test_engines_agree_n5_grid_and_n6_sample(self):
         for eta in compositions(5):
