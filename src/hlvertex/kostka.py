@@ -34,11 +34,6 @@ log = logging.getLogger(__name__)
 _MAX_WALK_NODES = 100_000
 
 
-def shape_of(gamma) -> tuple:
-    """Block sizes of a blocked weight."""
-    return tuple(len(b) for b in gamma)
-
-
 def roots_set(eta) -> tuple:
     """Strictly upper block-triangular positions (1-indexed pairs) for
     diagonal block sizes eta."""
@@ -137,7 +132,7 @@ def _validate_key(lam, gamma):
     if not gamma or () in gamma:
         which = f"block {gamma.index(()) + 1} of {gamma}" if gamma else "the key"
         raise ValueError(f"{which} is empty")
-    eta = shape_of(gamma)
+    eta = tuple(len(b) for b in gamma)
     n = sum(eta)
     if len(lam) != n:
         raise ValueError(f"lambda must have length {n}")
@@ -155,11 +150,14 @@ def kostka_kostant(lam, gamma) -> QPoly:
 
     The walk assigns d_i = lam_rho[perm(i)] - gamma_rho[i] depth-first
     and advances kostant_series' forward count as each block completes,
-    so leaves sharing a prefix share its count; an empty count cuts the
-    branch.  As lam_rho is strictly decreasing, the first free value that
-    makes a prefix sum negative ends the scan at that depth.  Choosing a
-    value adds the still-unused smaller values to the inversion count.
-    A walk of more than _MAX_WALK_NODES nodes raises ValueError.
+    so leaves sharing a prefix share its count.  Units flow only to later
+    blocks, so a map of weight d exists exactly when, for every block, the
+    prefix sum before it plus its negative entries stays nonnegative; the
+    walk cuts a branch as soon as that fails.  As lam_rho strictly
+    decreases, so does d_i over the free values, and the first failing
+    value ends the scan.  Choosing a value adds the still-unused smaller
+    values to the inversion count.  A walk of more than _MAX_WALK_NODES
+    nodes raises ValueError.
     """
     return _kostka_kostant(*_validate_key(lam, gamma))
 
@@ -179,16 +177,14 @@ def _kostka_kostant(lam, gamma, eta) -> QPoly:
     used = [False] * n
     nodes = itertools.count(1)
 
-    # the block under way starts at position start; frontier counts d[:start]
-    def walk(i: int, start: int, frontier: dict, inversions: int):
+    # frontier counts d[:start]; floor: prefix sum at start plus the negatives since
+    def walk(i: int, start: int, frontier: dict, floor: int, inversions: int):
         if next(nodes) > _MAX_WALK_NODES:
             raise ValueError(f"the Kostant walk at rank {n} passes {_MAX_WALK_NODES} "
                              "nodes; use method=\"vertex\" (--method vertex)")
         if i in ends:
             frontier = _advance(frontier, d[start:i], prefix[start:i])
-            if not frontier:
-                return
-            start = i
+            start, floor = i, prefix[i - 1]
         if i == n:
             sign = -1 if inversions % 2 else 1
             for e, c in frontier[(), ()].items():
@@ -200,15 +196,16 @@ def _kostka_kostant(lam, gamma, eta) -> QPoly:
             if used[v]:
                 continue
             step = lam_rho[v] - gamma_rho[i]
-            if partial + step < 0:
+            low = floor + min(step, 0)
+            if low < 0:
                 break
             used[v] = True
             d[i], prefix[i] = step, partial + step
-            walk(i + 1, start, frontier, inversions + smaller)
+            walk(i + 1, start, frontier, low, inversions + smaller)
             used[v] = False
             smaller += 1
 
-    walk(0, 0, {((), ()): {0: 1}}, 0)
+    walk(0, 0, {((), ()): {0: 1}}, 0, 0)
     return QPoly(coeffs)
 
 

@@ -77,6 +77,12 @@ class TestKostkaCommand:
         code, out, _ = run(capsys, *self.singleton(11), "--method", "kostant")
         assert (code, out) == (0, "q^55\n")
 
+    @pytest.mark.parametrize("method", ["kostant", "both"])
+    def test_kostant_walk_cuts_a_wide_block(self, capsys, method):
+        code, out, _ = run(capsys, "kostka", "--lambda", ",".join(["1000"] + ["0"] * 9),
+                           "--gamma", ",".join(["100"] * 10), "--method", method)
+        assert (code, out) == (0, "0\n")
+
 
 class TestWordCommands:
     def test_straighten_zero(self, capsys):

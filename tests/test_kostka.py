@@ -189,11 +189,33 @@ class TestEngines:
                         kostka_kostant(pad_zeros(p, 4), gamma)
         assert frontiers and all(frontiers)
 
-    def test_cold_rank_10_singleton_is_fast(self):
+    @staticmethod
+    def advanced_positions(monkeypatch):
+        counted = []
+        advance = kostka_module._advance
+
+        def counting(frontier, d_block, prefix_block):
+            counted.append(len(d_block))
+            return advance(frontier, d_block, prefix_block)
+
+        monkeypatch.setattr(kostka_module, "_advance", counting)
+        return counted
+
+    def test_cold_rank_10_singleton_is_fast(self, monkeypatch):
+        counted = self.advanced_positions(monkeypatch)
         clear_caches()
         start = time.perf_counter()
         assert kostka_kostant((10,) + (0,) * 9, ((1,),) * 10) == QPoly({45: 1})
         assert time.perf_counter() - start < 2.0
+        # each walk node advances at most its own position: 14570 in all
+        assert sum(counted) < 15_000
+
+    def test_wide_block_is_cut_inside_the_block(self, monkeypatch):
+        # every prefix stays nonnegative, but position 1 already needs units
+        # that no earlier block can supply, so no order of the block closes
+        counted = self.advanced_positions(monkeypatch)
+        assert kostka_kostant((1000,) + (0,) * 9, ((100,) * 10,)).is_zero()
+        assert counted == []
 
     def test_engines_agree_n5_grid_and_n6_sample(self):
         for eta in compositions(5):
