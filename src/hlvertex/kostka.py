@@ -16,8 +16,7 @@ import logging
 
 from .coeffs import QPoly
 from .memo import memo
-from .symfunc import one
-from .vertexop import apply_H
+from .vertexop import _ONE, _act
 from .weights import (
     is_dominant,
     is_partition,
@@ -224,18 +223,18 @@ def kostka_vertex(lam, gamma) -> QPoly:
     a = max(0, -min(lows))
     lam_s = tuple(x + a for x in lam)
     gamma_s = tuple(tuple(x + a for x in b) for b in gamma)
-    coeff = _word_on_one(gamma_s).coefficient(trim_zeros(lam_s))
-    poly = coeff.integral_polynomial()
-    if poly is None:
+    terms = _word_on_one(gamma_s).get(trim_zeros(lam_s), ())
+    if any(e < 0 for e, _ in terms):
         raise ArithmeticError(
             f"vertex engine produced a non-polynomial value for {lam}, {gamma}")
-    return poly
+    return QPoly(dict(terms))
 
 
 @memo
 def _word_on_one(gamma):
-    """The word applied to 1, memoized on every suffix, which keys share."""
-    return apply_H(gamma[0], _word_on_one(gamma[1:])) if gamma else one()
+    """The word applied to 1 as a read-only Z[q] vector, memoized on every
+    suffix, which keys share."""
+    return _act(gamma[0], _word_on_one(gamma[1:])) if gamma else _ONE
 
 
 def kostka(lam, gamma, method: str = "both") -> QPoly:

@@ -28,8 +28,8 @@ from types import MappingProxyType
 
 from .coeffs import QPoly, QRat, _add_term
 from .memo import memo
-from .symfunc import SCHUR, SymFunc, format_linear, schur
-from .vertexop import apply_H_word
+from .symfunc import SymFunc, format_linear, schur
+from .vertexop import apply_H_sum, apply_H_word
 from .weights import (
     is_dominant,
     partitions_of,
@@ -320,10 +320,8 @@ evaluate_word = apply_H_word
 
 
 def evaluate(opsum: OpSum, f: SymFunc) -> SymFunc:
-    total = SymFunc.zero(SCHUR)
-    for word, c in opsum.terms():
-        total = total + evaluate_word(word, f).scale(c)
-    return total
+    """The operator sum applied to f, in one Z[q] pass (apply_H_sum)."""
+    return apply_H_sum(opsum.terms(), f)
 
 
 def operators_equal(a: OpSum, b: OpSum, max_degree: int) -> bool:

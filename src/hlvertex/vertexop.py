@@ -12,9 +12,12 @@ on Schur functions over Z[q], through Bernstein's operators: splitting
 the plethystic shift of H(z) f = Omega[zX] f[X + (q-1)/z] as q/z - 1/z
 gives H_m = sum over j of q^j S_{m+j} h_j-perp, and Bernstein's
 S_{a_1}...S_{a_k} s_rho = s_{(a, rho)} is a signed Schur function after
-straightening (Garsia 1992; Jing 1991; Macdonald I.5 Ex. 29).  QRat
-appears only at the boundary.  Jing's operators are obtained by
-conjugating with the plethystic twist X -> X(1-q).
+straightening (Garsia 1992; Jing 1991; Macdonald I.5 Ex. 29).  Every
+word and every Z[q]-combination of words runs through one Z[q] core,
+_act, on vectors {kappa: ((exponent, coefficient), ...)}; apply_H_sum
+splits its input by denominator once and builds QRat only for its
+output.  Jing's operators are obtained by conjugating with the
+plethystic twist X -> X(1-q).
 """
 
 from __future__ import annotations
@@ -48,6 +51,11 @@ def _frozen(acc: dict) -> MappingProxyType:
     """acc as read-only {index: ((exponent, coefficient), ...)}, zeros dropped."""
     out = {idx: tuple((e, v) for e, v in slot.items() if v) for idx, slot in acc.items()}
     return MappingProxyType({idx: terms for idx, terms in out.items() if terms})
+
+
+# Z[q] vectors of 0 and of s_() = 1
+_ZERO = MappingProxyType({})
+_ONE = MappingProxyType({(): ((0, 1),)})
 
 
 @memo
@@ -132,43 +140,71 @@ def _H_schur(nu, kappa) -> MappingProxyType:
     return _frozen(acc)
 
 
+def _act(v, vec) -> MappingProxyType:
+    """The operator indexed by the integer weight v on a Z[q] vector
+    {kappa: ((exponent, coefficient), ...)}: v is straightened (sign 0
+    gives the zero vector, the empty weight vec itself) and the kernel
+    extended linearly.  Any other result is read-only, zeros dropped."""
+    sign, nu = straighten(v)
+    if not sign:
+        return _ZERO
+    if not nu:
+        return vec
+    out: dict = {}
+    for kappa, poly in vec.items():
+        for idx, terms in _H_schur(nu, kappa).items():
+            slot = out.setdefault(idx, {})
+            for s, w in poly:
+                _add_slot(slot, terms, sign * w, s)
+    return _frozen(out)
+
+
 def apply_H(nu, f: SymFunc) -> SymFunc:
     """Apply the vertex operator indexed by the dominant weight nu (length
-    0: the identity) to f, as the linear extension of the Z[q] kernel.  f's
-    denominators (from apply_B) join only when the output QRat are built."""
+    0: the identity) to f; see apply_H_sum for where QRat is built."""
     nu = tuple(nu)
     if not is_dominant(nu):
         raise ValueError(f"{nu} is not dominant; use apply_H_any")
-    if not nu or f.is_zero():
-        return f
-    slots: dict = {}  # (denominator, index) -> numerator
-    for kappa, c in convert(f, SCHUR)._terms.items():
-        for idx, terms in _H_schur(nu, kappa).items():
-            for s, w in c.num._c.items():
-                _add_slot(slots.setdefault((c.den, idx), {}), terms, w, s)
-    out: dict = {}
-    for (den, idx), slot in slots.items():
-        _add_term(out, idx, QRat(QPoly(slot), den))
-    return SymFunc(SCHUR, out)
+    return apply_H_word((nu,), f)
 
 
 def apply_H_any(v, f: SymFunc) -> SymFunc:
     """Apply the operator indexed by an arbitrary integer weight: it is
     zero or agrees up to sign with a dominant one after straightening."""
-    sign, nu = straighten(v)
-    if sign == 0:
-        return SymFunc.zero(SCHUR)
-    out = apply_H(nu, f)
-    return out if sign > 0 else -out
+    return apply_H_word((v,), f)
 
 
 def apply_H_word(blocks, f: SymFunc) -> SymFunc:
     """Apply a composite of vertex operators indexed by arbitrary integer
     weights, rightmost block first."""
-    out = f
-    for block in reversed(tuple(blocks)):
-        out = apply_H_any(block, out)
-    return out
+    return apply_H_sum(((blocks, QPoly.one()),), f)
+
+
+def apply_H_sum(terms, f: SymFunc) -> SymFunc:
+    """sum of c * word(f) over the (word, QPoly c) pairs of terms, in the
+    Schur basis.  The operators are Z[q]-linear, so f is split once into
+    Z[q] vectors by denominator; every word runs over each vector and the
+    results accumulate in one Z[q] dict per denominator.  QRat values are
+    built only at the end, one per denominator and Schur index."""
+    parts: dict = {}  # denominator -> Z[q] vector
+    for kappa, c in convert(f, SCHUR)._terms.items():
+        parts.setdefault(c.den, {})[kappa] = tuple(c.num._c.items())
+    out: dict = {}
+    for den, vec in parts.items():
+        acc: dict = {}
+        for word, c in terms:
+            image = vec
+            for block in reversed(tuple(word)):
+                if not image:
+                    break
+                image = _act(block, image)
+            for idx, poly in image.items():
+                slot = acc.setdefault(idx, {})
+                for s, w in c._c.items():
+                    _add_slot(slot, poly, w, s)
+        for idx, slot in acc.items():
+            _add_term(out, idx, QRat(QPoly(slot), den))
+    return SymFunc(SCHUR, out)
 
 
 def apply_F(f: SymFunc, inverse: bool = False) -> SymFunc:

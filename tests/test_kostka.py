@@ -25,6 +25,7 @@ from hlvertex.kostka import (
 )
 from hlvertex.memo import clear_caches
 from hlvertex.symfunc import multiply, one, schur, specialize_q
+from hlvertex.vertexop import _act
 from hlvertex.weights import pad_zeros, partitions_of, trim_zeros
 
 
@@ -287,6 +288,34 @@ class TestEngines:
                             got[trim_zeros(lam)] = k1
                     assert got == want
 
+
+
+class TestVertexEngineVectors:
+    def test_memoized_vectors_are_read_only(self):
+        clear_caches()
+        key = ((2, 1), (1,))
+        vec = kostka_module._word_on_one(key)
+        with pytest.raises(TypeError):
+            vec[(9,)] = ((0, 1),)
+        with pytest.raises(TypeError):
+            del vec[next(iter(vec))]
+        assert all(isinstance(terms, tuple) for terms in vec.values())
+        base = kostka_module._word_on_one(())
+        with pytest.raises(TypeError):
+            base[()] = ((0, 2),)
+        # the identity hands back its input, still read-only
+        assert _act((), vec) is vec
+        assert kostka_vertex((3, 1, 0), key) == kostka_kostant((3, 1, 0), key)
+
+    def test_negative_exponent_is_refused(self, monkeypatch):
+        clear_caches()
+        monkeypatch.setattr(kostka_module, "_act",
+                            lambda v, vec: types.MappingProxyType({(1,): ((-1, 1),)}))
+        try:
+            with pytest.raises(ArithmeticError, match="non-polynomial"):
+                kostka_vertex((1,), ((1,),))
+        finally:
+            clear_caches()
 
 class TestKostkaFoulkes:
     def test_examples(self):

@@ -21,9 +21,9 @@ from hlvertex.rewrite import (
     shift_support,
     swap_factors,
 )
-from hlvertex.symfunc import one, schur
-from hlvertex.vertexop import apply_H_word
-from hlvertex.weights import is_dominant
+from hlvertex.symfunc import SymFunc, one, schur
+from hlvertex.vertexop import apply_F, apply_H_sum, apply_H_word
+from hlvertex.weights import is_dominant, partitions_of
 
 Q = QRat.q()
 
@@ -126,6 +126,82 @@ class TestRelationInstances:
                 - OpSum({((a,) * k, (a,) * k): QRat.one()}) \
                 + OpSum({((a + 1,) * k, (a - 1,) * k): Q**k})
             assert rel == want
+
+
+def oracle_sum(terms, f):
+    """sum of c * word(f), one word and one Schur term of f at a time in
+    SymFunc arithmetic, so that no denominators meet inside a word."""
+    total = SymFunc.zero()
+    for word, c in terms:
+        for kappa, a in f.terms():
+            total = total + apply_H_word(word, schur(kappa)).scale(a * c)
+    return total
+
+
+# denominators 1, 1 - q and (1 - q)(1 - q^2) side by side
+MIXED_INPUTS = [
+    apply_F(schur((2,)), inverse=True) + schur((1,)),
+    apply_F(schur((1, 1)), inverse=True).scale(Q) - schur((2, 1)),
+    apply_F(schur((1,)), inverse=True) + apply_F(schur((2,)), inverse=True).scale(Q) + one(),
+]
+
+
+def random_opsum(rng, size):
+    words = [tuple(tuple(rng.randint(-1, 3) for _ in range(rng.randint(0, 2)))
+                   for _ in range(rng.randint(1, 3))) for _ in range(size)]
+    return normalize({w: qp({rng.randint(-1, 2): rng.choice([-2, -1, 1, 3])})
+                      for w in words})
+
+
+class TestEvaluateAgainstTermwiseSum:
+    INPUTS = [schur(p) for d in range(4) for p in partitions_of(d)] + MIXED_INPUTS
+
+    def check(self, terms, f):
+        assert apply_H_sum(terms, f) == oracle_sum(terms, f), (terms, f)
+
+    @pytest.mark.parametrize("kind,params", TestRelationInstances.RELATIONS[::3])
+    def test_relation_instances_and_their_parts(self, kind, params):
+        terms = relation_instance(kind, **params).terms()
+        for f in self.INPUTS:
+            assert evaluate(OpSum(dict(terms)), f) == oracle_sum(terms, f)
+            self.check(terms[::2], f)
+
+    def test_random_sums_with_cancelling_terms(self):
+        rng = random.Random(12)
+        rel = relation_instance("com1", mu=(1,), a=1, b=3, nu=(1,))
+        for _ in range(20):
+            s = random_opsum(rng, 4)
+            total = s + rel.scale(QPoly({1: 1}))  # the relation cancels on evaluation
+            # raw terms cancelling in the accumulator: a word against its
+            # negative, and H_(0,2) against its straightening -H_(1,1)
+            raw = s.terms() + [(w, -c) for w, c in s.terms()[:2]] \
+                + [(((0, 2),), QPoly.one()), (((1, 1),), QPoly.one())]
+            for f in rng.sample(self.INPUTS, 4):
+                assert evaluate(total, f) == oracle_sum(total.terms(), f)
+                self.check(raw, f)
+                assert apply_H_sum(raw[-2:], f).is_zero()
+
+    def test_empty_and_identity(self):
+        for f in self.INPUTS:
+            assert evaluate(OpSum(), f).is_zero()
+            self.check([], f)
+            self.check([(((),), QPoly({1: 2}))], f)
+            assert evaluate(OpSum({((),): QRat.one()}), f) == f
+
+    def test_vanishing_blocks_and_negative_tails(self):
+        terms = [(((0, 1),), QPoly.one()), (((1, -1),), QPoly({0: 1, 1: -1})),
+                 (((2, 0, -1), (1,)), QPoly({-1: 1})), (((1,), (0, 1)), QPoly.one()),
+                 (((2,), (0, -2)), QPoly({2: -1}))]
+        for f in self.INPUTS:
+            self.check(terms, f)
+            assert apply_H_sum(terms[:1], f).is_zero()
+
+    def test_mixed_denominators_meet_in_one_sum(self):
+        terms = [(((1,),), QPoly.one()), (((2,), (1, 1)), QPoly({1: -1})),
+                 (((),), QPoly({0: 1, 1: -1}))]
+        for f in MIXED_INPUTS:
+            self.check(terms, f)
+            assert not apply_H_sum(terms, f).is_zero()
 
 
 class TestIdentityFamilies:
