@@ -10,7 +10,9 @@ where cbar is the GL(k) tensor multiplicity; only mu with |mu| <= deg f
 contribute.  It is computed as the linear extension of a memoized kernel
 on Schur functions over Z[q], through Bernstein's operators: splitting
 the plethystic shift of H(z) f = Omega[zX] f[X + (q-1)/z] as q/z - 1/z
-gives H_m = sum over j of q^j S_{m+j} h_j-perp, and Bernstein's
+gives H_nu = sum over compositions gamma into k parts of
+q^|gamma| S_{nu+gamma} h_gamma-perp.  On s_kappa, h_gamma-perp removes
+horizontal strips of sizes gamma_1, ..., gamma_k, and Bernstein's
 S_{a_1}...S_{a_k} s_rho = s_{(a, rho)} is a signed Schur function after
 straightening (Garsia 1992; Jing 1991; Macdonald I.5 Ex. 29).  Every
 word and every Z[q]-combination of words runs through one Z[q] core,
@@ -35,9 +37,8 @@ from .symfunc import (
     convert,
     plethysm_substitute,
     schur_product_expansion,  # noqa: F401  not called; perfbench/tests wraps it here
-    skew_schur_expansion,
 )
-from .weights import is_dominant, straighten, subpartitions, trim_zeros
+from .weights import is_dominant, straighten, trim_zeros
 
 
 def _add_slot(dst: dict, terms, c: int, shift: int = 0) -> None:
@@ -58,85 +59,61 @@ _ZERO = MappingProxyType({})
 _ONE = MappingProxyType({(): ((0, 1),)})
 
 
-@memo
-def _compositions(n: int, k: int) -> tuple:
-    """The compositions of n into k nonnegative parts."""
-    if k == 0:
-        return ((),) if n == 0 else ()
-    return tuple((first,) + rest for first in range(n, -1, -1)
-                 for rest in _compositions(n - first, k - 1))
-
-
-def _strips_below(sigma, size: int):
-    """Yield the partitions tau with sigma/tau a horizontal strip of size
-    cells: those interlacing sigma, sigma_{i+1} <= tau_i <= sigma_i."""
+def _strips_below(sigma):
+    """Yield the partitions tau with sigma/tau a horizontal strip, of any
+    size: those interlacing sigma, sigma_{i+1} <= tau_i <= sigma_i."""
     floors = sigma[1:] + (0,)
     for tau in itertools.product(*(range(lo, hi + 1) for lo, hi in zip(floors, sigma))):
-        if sum(sigma) - sum(tau) == size:
-            yield trim_zeros(tau)
+        yield trim_zeros(tau)
 
 
 @memo
-def _tableau_count(sigma, gamma) -> int:
-    """The Kostka number K(sigma, gamma): semistandard tableaux of shape
-    sigma and content the composition gamma, counted by removing the
-    horizontal strip of the largest letter."""
-    if len(sigma) > len(gamma) or sum(sigma) != sum(gamma):
-        return 0
-    if not gamma:
-        return 1
-    rest = gamma[:-1]
-    return sum(_tableau_count(tau, rest) for tau in _strips_below(sigma, gamma[-1]))
-
-
-@memo
-def _bernstein_terms(kappa, k: int) -> tuple:
-    """The (gamma, ((rho, m), ...)) with m = sum over sigma of
-    K(sigma, gamma) * c^kappa_{sigma,rho} nonzero, gamma running over the
-    compositions into k parts.  Depends on nu only through its length."""
-    terms: dict = {}
-    for sigma in subpartitions(kappa):
-        if len(sigma) > k:
-            continue
-        skews = skew_schur_expansion(kappa, sigma).items()
-        for gamma in _compositions(sum(sigma), k):
-            count = _tableau_count(sigma, gamma)
-            if count:
-                slot = terms.setdefault(gamma, {})
-                for rho, c in skews:
-                    slot[rho] = slot.get(rho, 0) + count * c
-    return tuple((gamma, tuple((rho, m) for rho, m in slot.items() if m))
-                 for gamma, slot in terms.items())
+def _peel(kappa, k: int) -> tuple:
+    """The ((gamma, rho), m) with m > 0 the coefficient of s_rho in
+    h_gamma-perp s_kappa = h_{gamma_1}-perp ... h_{gamma_k}-perp s_kappa,
+    gamma running over the compositions into k parts: m counts the ways
+    to remove k horizontal strips, of sizes gamma_1, ..., gamma_k, from
+    kappa in turn, leaving rho.  The h_j-perp commute, so the order of
+    removal does not matter."""
+    if not k:
+        return ((((), kappa), 1),)
+    out: dict = {}
+    size = sum(kappa)
+    for tau in _strips_below(kappa):
+        j = size - sum(tau)
+        for (gamma, rho), m in _peel(tau, k - 1):
+            key = ((j,) + gamma, rho)
+            out[key] = out.get(key, 0) + m
+    return tuple(out.items())
 
 
 @memo
 def _H_schur(nu, kappa) -> MappingProxyType:
     """The kernel H_nu(s_kappa) over Z[q], in _frozen form, by Bernstein's
-    operators: with k = len(nu),
+    operators on horizontal-strip removals: with k = len(nu),
 
-        H_nu(s_kappa) = sum over sigma in kappa with at most k rows of
-            q^|sigma| sum over compositions gamma of |sigma| into k parts of
-            K(sigma, gamma) sum over rho of c^kappa_{sigma,rho}
-            s_{(nu + gamma, rho)},
+        H_nu(s_kappa) = sum over compositions gamma into k parts of
+            q^|gamma| S_{nu + gamma} h_gamma-perp s_kappa
+          = sum over ((gamma, rho), m) in _peel(kappa, k) of
+            m q^|gamma| s_{(nu + gamma, rho)},
 
     where s_v of an integer vector is its Jacobi-Trudi determinant: after
     straightening, a signed Schur function, or zero when straightening
     vanishes or leaves a negative last part.  Derivation: H_nu f is the
     coefficient of z^nu in prod_{i<j} (1 - z_j/z_i) Omega[ZX]
     f[X + (q-1)/Z].  Splitting (q-1)/Z as q/Z - 1/Z gives the sum over
-    sigma of s_sigma[q/Z] (s_sigma-perp f)[X - 1/Z], and the Weyl factor
-    times Omega[ZX] g[X - 1/Z] is Bernstein's ordered product, whose
-    z^a coefficient on s_rho is s_{(a, rho)} (Garsia 1992; Jing 1991;
-    Macdonald I.5 Ex. 29).  This holds for negative entries of nu too."""
+    gamma of q^|gamma| z^-gamma (h_gamma-perp f)[X - 1/Z], and the Weyl
+    factor times Omega[ZX] g[X - 1/Z] is Bernstein's ordered product,
+    whose z^a coefficient on s_rho is s_{(a, rho)} (Garsia 1992; Jing
+    1991; Macdonald I.5 Ex. 29).  This holds for negative entries of nu
+    too."""
     acc: dict = {}
-    for gamma, rhos in _bernstein_terms(kappa, len(nu)):
-        e = sum(gamma)
-        head = tuple(a + g for a, g in zip(nu, gamma))
-        for rho, m in rhos:
-            sign, lam = straighten(head + rho)
-            if sign and (not lam or lam[-1] >= 0):
-                slot = acc.setdefault(trim_zeros(lam), {})
-                slot[e] = slot.get(e, 0) + sign * m
+    for (gamma, rho), m in _peel(kappa, len(nu)):
+        sign, lam = straighten(tuple(a + g for a, g in zip(nu, gamma)) + rho)
+        if sign and (not lam or lam[-1] >= 0):
+            slot = acc.setdefault(trim_zeros(lam), {})
+            e = sum(gamma)
+            slot[e] = slot.get(e, 0) + sign * m
     return _frozen(acc)
 
 

@@ -129,24 +129,6 @@ def conjugate(part) -> tuple:
 # -- enumeration helpers ------------------------------------------------
 
 
-def subpartitions(mu):
-    """All partitions contained in mu (componentwise)."""
-    mu = trim_zeros(mu)
-
-    def rec(i, cap):
-        if i == len(mu):
-            yield ()
-            return
-        for first in range(min(cap, mu[i]), -1, -1):
-            if first == 0:
-                yield ()
-                return
-            for rest in rec(i + 1, first):
-                yield (first,) + rest
-
-    yield from rec(0, mu[0] if mu else 0)
-
-
 def partitions_of(n: int, max_len=None, max_part=None):
     """Yield the partitions of n (trimmed tuples), largest part first."""
     if n < 0:

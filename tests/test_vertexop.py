@@ -3,12 +3,12 @@
 import hashlib
 import itertools
 import random
-from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hlvertex import symfunc as symfunc_module
 from hlvertex.coeffs import QPoly, QRat
 from hlvertex.memo import clear_caches
 from hlvertex.symfunc import (
@@ -16,6 +16,7 @@ from hlvertex.symfunc import (
     X_OVER_QM1,
     X_TIMES_QM1,
     elementary_perp,
+    homogeneous,
     multiply,
     one,
     plethysm_substitute,
@@ -27,7 +28,7 @@ from hlvertex.symfunc import (
 )
 from hlvertex.vertexop import (
     _H_schur,
-    _tableau_count,
+    _peel,
     apply_B,
     apply_F,
     apply_H,
@@ -124,58 +125,48 @@ class TestKernelAgainstOracle:
             assert apply_B(nu, f) == want
 
 
-def brute_force_contents(sigma, k):
-    """Counter of the contents of all semistandard tableaux of shape sigma
-    with entries 1..k, by filling the cells row by row."""
-    cells = [(i, j) for i, part in enumerate(sigma) for j in range(part)]
-    out = Counter()
-    filling = {}
-
-    def fill(n):
-        if n == len(cells):
-            out[tuple(sum(1 for v in filling.values() if v == x)
-                      for x in range(1, k + 1))] += 1
-            return
-        i, j = cells[n]
-        lo = max(filling.get((i, j - 1), 1), filling.get((i - 1, j), 0) + 1)
-        for v in range(lo, k + 1):
-            filling[i, j] = v
-            fill(n + 1)
-        filling.pop((i, j), None)
-
-    fill(0)
-    return out
-
-
 def compositions(n, k):
     return [c for c in itertools.product(range(n + 1), repeat=k) if sum(c) == n]
 
 
-class TestTableauCounts:
-    def test_against_brute_force(self):
+class TestPeel:
+    def test_against_skewing_by_products_of_h(self):
+        # every (gamma, rho) multiplicity is the coefficient of s_rho in
+        # h_gamma-perp s_kappa, and nothing else is listed
+        for k in range(4):
+            for d in range(7):
+                for kappa in partitions_of(d):
+                    got = {key: QRat(m) for key, m in _peel(kappa, k)}
+                    want = {}
+                    for size in range(d + 1):
+                        for gamma in compositions(size, k):
+                            h = one()
+                            for g in gamma:
+                                h = multiply(h, homogeneous(g))
+                            for rho, c in skew(h, schur(kappa)).terms():
+                                want[gamma, rho] = c
+                    assert got == want, (kappa, k)
+
+    def test_no_strips(self):
         for d in range(7):
-            for sigma in partitions_of(d):
-                for k in range(5):
-                    want = brute_force_contents(sigma, k)
-                    for gamma in compositions(d, k):
-                        assert _tableau_count(sigma, gamma) == want[gamma], (sigma, gamma)
+            for kappa in partitions_of(d):
+                assert _peel(kappa, 0) == ((((), kappa), 1),)
 
-    def test_too_many_rows(self):
-        for sigma in [(1, 1), (2, 1, 1), (1, 1, 1, 1, 1)]:
-            for k in range(len(sigma)):
-                for gamma in compositions(sum(sigma), k):
-                    assert _tableau_count(sigma, gamma) == 0
 
-    def test_symmetric_in_content(self):
-        for sigma in [(3, 2, 1), (4, 2), (2, 2, 1, 1), (5, 1)]:
-            for gamma in [(2, 2, 1, 1), (3, 1, 2, 0), (0, 4, 1, 1), (1, 1, 1, 3)]:
-                counts = {_tableau_count(sigma, g) for g in itertools.permutations(gamma)}
-                assert len(counts) == 1, (sigma, gamma, counts)
+class TestKernelIndependence:
+    def test_kernel_calls_no_lr_enumerator(self, monkeypatch):
+        # with the LR enumerator gone, TestKernelAgainstOracle compares the
+        # kernel with a route that shares no LR code with it
+        def refuse(*args):
+            raise AssertionError("LR enumerator called")
 
-    def test_own_content_counts_once(self):
-        for d in range(8):
-            for sigma in partitions_of(d):
-                assert _tableau_count(sigma, sigma) == 1
+        monkeypatch.setattr(symfunc_module, "skew_schur_expansion", refuse)
+        monkeypatch.setattr(symfunc_module, "_skew_schur", refuse)
+        clear_caches()
+        for nu in [(1,), (2, 0, -1), (3, 2, 2, 1)]:
+            for d in range(6):
+                for kappa in partitions_of(d):
+                    _H_schur(nu, kappa)
 
 
 GOLDEN_BLOCKS = [(1,), (0,), (-1,), (3,), (2, 1), (2, 0, -1), (0, -1), (3, 3),

@@ -18,7 +18,6 @@ from hlvertex.weights import (
     partitions_of,
     rho,
     straighten,
-    subpartitions,
     trim_zeros,
     vertical_strip_grow,
     vertical_strip_shrink,
@@ -144,10 +143,6 @@ class TestHelpers:
         assert conjugate((3, 1)) == (2, 1, 1)
         assert conjugate(conjugate((4, 2, 1))) == (4, 2, 1)
         assert conjugate(()) == ()
-
-    def test_subpartitions(self):
-        assert set(subpartitions((2, 1))) == {(), (1,), (2,), (1, 1), (2, 1)}
-        assert set(subpartitions(())) == {()}
 
     def test_partitions_of(self):
         assert list(partitions_of(0)) == [()]
