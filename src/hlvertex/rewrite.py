@@ -15,10 +15,13 @@ algorithms work on two-factor words:
 
 Each algorithm eliminates its input word from an exact operator relation
 and substitutes repeatedly, with an explicit termination measure checked
-at every step.  relation_instance builds each relation once: com1, com2,
-move, the factor-swapping bigmove (kernel: the dual Cauchy product
-prod (1 - q y_i z_j) = sum over theta of (-q)^|theta| s_theta(y) s_theta'(z))
-and the identity families.  Correctness of any produced sum can be
+at every step.  shift_support and swap_factors are one elimination
+(_move_slots) through the slot-moving bigmove relation, which takes any
+three block lengths k, l, m (kernel: the dual Cauchy product
+prod (1 - q y_i z_j) = sum over theta of (-q)^|theta| s_theta(y) s_theta'(z));
+move is its case l = 1.  relation_instance builds each relation once:
+com1 and com2 (Jing's one-row rules lifted through vertical strips), move,
+bigmove and the identity families.  Correctness of any produced sum can be
 certified through the evaluator, which is an independent oracle.
 """
 
@@ -198,46 +201,33 @@ def parse_word(text: str) -> tuple:
 # -- relation generators ---------------------------------------------------
 
 
-def _com1_relation(mu, a: int, b: int, nu) -> OpSum:
-    """Four-term strip relation; specializing b = a+1 collapses it to the
-    two-term one.  The returned sum is the zero operator."""
+def _strip_lift(mu, row, nu) -> OpSum:
+    """Lift a one-row relation row = ((a, b, j), ...), the sum of
+    (-q)^j H_a H_b, to the strip relation between mu and nu: each pair of
+    alpha in vertical_strip_grow(mu) and beta in vertical_strip_shrink(nu)
+    contributes the row with H_a H_b replaced by H_{alpha + (a + |nu/beta|)}
+    H_{(b - |alpha/mu|) + beta}, times (-q)^(|alpha/mu| + |nu/beta|).  The
+    returned sum is the zero operator."""
     raw: dict = {}
     for alpha in vertical_strip_grow(mu):
         ja = sum(alpha) - sum(mu)
         for beta in vertical_strip_shrink(nu):
             jb = sum(nu) - sum(beta)
-            c = _minus_q_power(ja + jb)
-            qc = c.shifted(1)
-            _add_term(raw, (alpha + (a + jb,), (b - ja,) + beta), c)
-            _add_term(raw, (alpha + (a + jb + 1,), (b - ja - 1,) + beta), -qc)
-            _add_term(raw, (alpha + (b + jb,), (a - ja,) + beta), -qc)
-            _add_term(raw, (alpha + (b + jb - 1,), (a - ja + 1,) + beta), c)
+            for a, b, j in row:
+                _add_term(raw, (alpha + (a + jb,), (b - ja,) + beta),
+                          _minus_q_power(ja + jb + j))
     return normalize(raw)
 
 
-def _com2_relation(mu, a: int, nu) -> OpSum:
-    raw: dict = {}
-    for alpha in vertical_strip_grow(mu):
-        ja = sum(alpha) - sum(mu)
-        for beta in vertical_strip_shrink(nu):
-            jb = sum(nu) - sum(beta)
-            c = _minus_q_power(ja + jb)
-            _add_term(raw, (alpha + (a + jb,), (a + 1 - ja,) + beta), c)
-            _add_term(raw, (alpha + (a + jb + 1,), (a - ja,) + beta), -c.shifted(1))
-    return normalize(raw)
+def _com1_row(a: int, b: int) -> tuple:
+    """Jing's H_a H_b - q H_{a+1} H_{b-1} - q H_b H_a + H_{b-1} H_{a+1};
+    at b = a+1 it is twice the com2 row."""
+    return ((a, b, 0), (a + 1, b - 1, 1), (b, a, 1), (b - 1, a + 1, 0))
 
 
-def _move_relation(mu, a: int, nu) -> OpSum:
-    """Slot-moving relation between factor lengths (k+1, n) and (k, n+1)."""
-    raw: dict = {}
-    mu, nu = tuple(mu), tuple(nu)
-    for beta in vertical_strip_shrink(nu):
-        jb = sum(nu) - sum(beta)
-        _add_term(raw, (mu + (a + jb,), beta), _minus_q_power(jb))
-    for alpha in vertical_strip_grow(mu):
-        ja = sum(alpha) - sum(mu)
-        _add_term(raw, (alpha, (a - ja,) + nu), -_minus_q_power(ja))
-    return normalize(raw)
+def _com2_row(a: int) -> tuple:
+    """Jing's H_a H_{a+1} - q H_{a+1} H_a."""
+    return ((a, a + 1, 0), (a + 1, a, 1))
 
 
 @memo
@@ -258,16 +248,16 @@ def _dual_cauchy(l: int, k: int) -> MappingProxyType:
 
 
 def _bigmove_relation(alpha, beta, gamma) -> OpSum:
-    """Factor-swapping relation between factor lengths (k+l, k) and
-    (k, l+k), from the Cauchy-twisted commutation of generating series:
-    _dual_cauchy(l, k) raises beta and lowers gamma, minus
-    _dual_cauchy(k, l) raising alpha and lowering beta.  Zero as an operator."""
+    """Slot-moving relation between factor lengths (k+l, m) and (k, l+m)
+    for any lengths k, l, m of alpha, beta, gamma, from the Cauchy-twisted
+    commutation of generating series: _dual_cauchy(l, m) raises beta and
+    lowers gamma, minus _dual_cauchy(k, l) raising alpha and lowering beta.
+    Zero as an operator; move is the case l = 1, and the factor swap of
+    lengths (k+l, k) the case m = k."""
     alpha, beta, gamma = tuple(alpha), tuple(beta), tuple(gamma)
-    k, l = len(gamma), len(beta)
-    if len(alpha) != k:
-        raise ValueError("first and third weights must have equal length")
+    k, l, m = len(alpha), len(beta), len(gamma)
     raw: dict = {}
-    for (y, z), c in _dual_cauchy(l, k).items():
+    for (y, z), c in _dual_cauchy(l, m).items():
         first = alpha + tuple(b + e for b, e in zip(beta, y))
         _add_term(raw, (first, tuple(g - e for g, e in zip(gamma, z))), c)
     for (x, y), c in _dual_cauchy(k, l).items():
@@ -295,14 +285,15 @@ def relation_instance(kind: str, **params) -> OpSum:
     """A relation instance as a normalized OpSum equal to the zero
     operator; certify with operators_equal against the empty sum.
     Parameters: com1 (mu, a, b, nu), com2 and move (mu, a, nu), bigmove
-    (alpha, beta, gamma), same-width (a, k, n), one-more and quad (a, k)."""
+    (alpha, beta, gamma) of any three lengths, same-width (a, k, n), one-more
+    and quad (a, k).  move is bigmove with the one-entry middle block (a,)."""
     kind = kind.lower()
     if kind == "com1":
-        return _com1_relation(params["mu"], params["a"], params["b"], params["nu"])
+        return _strip_lift(params["mu"], _com1_row(params["a"], params["b"]), params["nu"])
     if kind == "com2":
-        return _com2_relation(params["mu"], params["a"], params["nu"])
+        return _strip_lift(params["mu"], _com2_row(params["a"]), params["nu"])
     if kind == "move":
-        return _move_relation(params["mu"], params["a"], params["nu"])
+        return _bigmove_relation(params["mu"], (params["a"],), params["nu"])
     if kind == "bigmove":
         return _bigmove_relation(params["alpha"], params["beta"], params["gamma"])
     if kind in _FAMILIES:
@@ -420,9 +411,7 @@ def _strip_relation(word) -> OpSum:
     by one, com1 otherwise."""
     f1, f2 = word
     a, b = f1[-1], f2[0]
-    if b == a + 1:
-        return _com2_relation(f1[:-1], a, f2[1:])
-    return _com1_relation(f1[:-1], a, b, f2[1:])
+    return _strip_lift(f1[:-1], _com2_row(a) if b == a + 1 else _com1_row(a, b), f2[1:])
 
 
 def rewrite_dominant(word) -> OpSum:
@@ -439,6 +428,22 @@ def rewrite_dominant(word) -> OpSum:
                       lambda w: w[1][0] - w[0][-1])
 
 
+def _move_slots(word, name: str, target) -> OpSum:
+    """Rewrite word as an operator-equal sum of words with factor lengths
+    target through the bigmove that cuts each word at the junction and at
+    target[0].  The sum of the first factor strictly increases, which is
+    checked as a hard termination guard."""
+    lo, hi = sorted((len(word[0]), target[0]))
+
+    def relation(w):
+        whole = w[0] + w[1]
+        return _bigmove_relation(whole[:lo], whole[lo:hi], whole[hi:])
+
+    return _eliminate(word, name, relation,
+                      lambda w: (len(w[0]), len(w[1])) == target,
+                      lambda w: sum(w[0]), increasing=True)
+
+
 def shift_support(word, direction: str) -> OpSum:
     """Rewrite a two-factor word as an operator-equal sum over words with
     one slot moved out of the designated factor (which must be strictly
@@ -452,25 +457,11 @@ def shift_support(word, direction: str) -> OpSum:
         if p <= r:
             raise ValueError("left factor must be strictly longer")
         target = (p - 1, r + 1)
-
-        def measure(w):
-            return w[0][0] - w[0][-1]
-
-        def relation(w):
-            return _move_relation(w[0][:-1], w[0][-1], w[1])
     else:
         if r <= p:
             raise ValueError("right factor must be strictly longer")
         target = (p + 1, r - 1)
-
-        def measure(w):
-            return w[1][0] - w[1][-1]
-
-        def relation(w):
-            return _move_relation(w[0], w[1][0], w[1][1:])
-
-    return _eliminate(word, "shift_support", relation,
-                      lambda w: (len(w[0]), len(w[1])) == target, measure)
+    return _move_slots(word, "shift_support", target)
 
 
 def swap_factors(word) -> OpSum:
@@ -487,13 +478,4 @@ def swap_factors(word) -> OpSum:
     if l * k > _MAX_KERNEL_CELLS:
         raise ValueError(f"swapping factor lengths {p} and {r} needs the {l} x {k} "
                          f"dual Cauchy kernel; at most {_MAX_KERNEL_CELLS} cells")
-    if p > r:
-        def relation(w):
-            return _bigmove_relation(w[0][:r], w[0][r:], w[1])
-    else:
-        def relation(w):
-            return _bigmove_relation(w[0], w[1][:r - p], w[1][r - p:])
-
-    return _eliminate(word, "swap_factors", relation,
-                      lambda w: (len(w[0]), len(w[1])) == (r, p),
-                      lambda w: sum(w[0]), increasing=True)
+    return _move_slots(word, "swap_factors", (r, p))

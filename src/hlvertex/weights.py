@@ -118,14 +118,6 @@ def alpha_beta(gamma):
     return alpha, beta
 
 
-def conjugate(part) -> tuple:
-    """Transpose of a partition."""
-    part = trim_zeros(part)
-    if not part:
-        return ()
-    return tuple(sum(1 for p in part if p > j) for j in range(part[0]))
-
-
 # -- enumeration helpers ------------------------------------------------
 
 

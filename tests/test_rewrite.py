@@ -1,5 +1,6 @@
 """Operator-word rewriting with evaluation certificates."""
 
+import itertools
 import random
 import re
 
@@ -23,7 +24,7 @@ from hlvertex.rewrite import (
 )
 from hlvertex.symfunc import SymFunc, one, schur
 from hlvertex.vertexop import apply_F, apply_H_sum, apply_H_word
-from hlvertex.weights import is_dominant, partitions_of
+from hlvertex.weights import dominant_weights, is_dominant, partitions_of
 
 Q = QRat.q()
 
@@ -126,6 +127,17 @@ class TestRelationInstances:
                 - OpSum({((a,) * k, (a,) * k): QRat.one()}) \
                 + OpSum({((a + 1,) * k, (a - 1,) * k): Q**k})
             assert rel == want
+
+    @pytest.mark.parametrize("k,l,m", [(1, 2, 2), (2, 2, 1), (1, 2, 3), (2, 1, 3),
+                                       (3, 2, 1), (0, 2, 1), (1, 3, 2)])
+    def test_bigmove_with_unequal_outer_lengths(self, k, l, m):
+        # bigmove takes any three lengths, not only len(alpha) == len(gamma)
+        for alpha in itertools.islice(dominant_weights(k, 0, 2), 3):
+            for beta in itertools.islice(dominant_weights(l, 0, 2), 3):
+                for gamma in itertools.islice(dominant_weights(m, 0, 1), 2):
+                    rel = relation_instance("bigmove", alpha=alpha, beta=beta, gamma=gamma)
+                    assert not rel.is_zero()
+                    assert is_zero_operator(rel, 3), (alpha, beta, gamma)
 
 
 def oracle_sum(terms, f):
@@ -448,7 +460,7 @@ GUARDED = {
 # name -> the relation generator the rewriter solves
 RELATION_OF = {
     "rewrite_dominant": "_strip_relation",
-    "shift_support": "_move_relation",
+    "shift_support": "_bigmove_relation",
     "swap_factors": "_bigmove_relation",
 }
 
@@ -480,7 +492,7 @@ class TestDriverGuards:
         # handing back the eliminated word leaves the measure where it was
         fn, word, _ = GUARDED[name]
         monkeypatch.setattr(rewrite_module, "_replacement", lambda rel, w: {w: QRat.one()})
-        way = "increase" if name == "swap_factors" else "decrease"
+        way = "decrease" if name == "rewrite_dominant" else "increase"
         message = f"termination measure failed to {way} at {format_word(word)}"
         with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
             fn(word)

@@ -6,7 +6,6 @@ import pytest
 
 from hlvertex.weights import (
     alpha_beta,
-    conjugate,
     dominant_weights,
     dual_weight,
     format_blocked,
@@ -139,10 +138,6 @@ class TestAlphaBeta:
 
 
 class TestHelpers:
-    def test_conjugate(self):
-        assert conjugate((3, 1)) == (2, 1, 1)
-        assert conjugate(conjugate((4, 2, 1))) == (4, 2, 1)
-        assert conjugate(()) == ()
 
     def test_partitions_of(self):
         assert list(partitions_of(0)) == [()]
