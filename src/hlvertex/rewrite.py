@@ -23,10 +23,13 @@ move is its case l = 1.  relation_instance builds each relation once:
 com1 and com2 (Jing's one-row rules lifted through vertical strips), move,
 bigmove and the identity families.  Correctness of any produced sum can be
 certified through the evaluator, which is an independent oracle.
+The relation generators return raw sums over unstraightened blocks, and
+each elimination straightens every distinct block once per call.
 """
 
 from __future__ import annotations
 
+import operator
 from types import MappingProxyType
 
 from .coeffs import QPoly, QRat, _add_term
@@ -45,8 +48,15 @@ _MAX_STEPS = 100000
 _MAX_KERNEL_CELLS = 16  # l * k of a swap's dual Cauchy kernel; (5, 5) has 1475856 terms
 
 
+def _entry(x) -> int:
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"word entry {x!r} is not an integer") from None
+
+
 def _as_word(word) -> tuple:
-    return tuple(tuple(int(x) for x in block) for block in word)
+    return tuple(tuple(map(_entry, block)) for block in word)
 
 
 def _minus_q_power(j: int) -> QPoly:
@@ -145,23 +155,33 @@ class OpSum:
 def normalize(raw: dict) -> OpSum:
     """Straighten every block of every word, folding signs into the
     coefficients, dropping vanishing words and combining like terms."""
-    out: dict = {}
+    checked: dict = {}
     for word, c in raw.items():
         c = _coeff(c)
-        if c.is_zero():
-            continue
+        if not c.is_zero():
+            _add_term(checked, _as_word(word), c)
+    return _normalize(checked, {})
+
+
+def _normalize(raw: dict, straight: dict) -> OpSum:
+    """normalize for words of int tuples with QPoly coefficients, as the
+    relation generators build them; straight maps each block seen so far
+    to its straighten() value and may be shared across calls."""
+    out: dict = {}
+    for word, c in raw.items():
         sign = 1
         blocks = []
-        for block in _as_word(word):
-            s, dom = straighten(block)
-            if s == 0:
-                sign = 0
+        for block in word:
+            hit = straight.get(block)
+            if hit is None:
+                hit = straight[block] = straighten(block)
+            s, dom = hit
+            if not s:
                 break
             sign *= s
             blocks.append(dom)
-        if sign == 0:
-            continue
-        _add_term(out, tuple(blocks), c if sign > 0 else -c)
+        else:
+            _add_term(out, tuple(blocks), c if sign > 0 else -c)
     return _opsum(out)
 
 
@@ -201,13 +221,13 @@ def parse_word(text: str) -> tuple:
 # -- relation generators ---------------------------------------------------
 
 
-def _strip_lift(mu, row, nu) -> OpSum:
+def _strip_lift(mu, row, nu) -> dict:
     """Lift a one-row relation row = ((a, b, j), ...), the sum of
     (-q)^j H_a H_b, to the strip relation between mu and nu: each pair of
     alpha in vertical_strip_grow(mu) and beta in vertical_strip_shrink(nu)
     contributes the row with H_a H_b replaced by H_{alpha + (a + |nu/beta|)}
     H_{(b - |alpha/mu|) + beta}, times (-q)^(|alpha/mu| + |nu/beta|).  The
-    returned sum is the zero operator."""
+    returned raw sum {word: QPoly} is the zero operator."""
     raw: dict = {}
     for alpha in vertical_strip_grow(mu):
         ja = sum(alpha) - sum(mu)
@@ -216,7 +236,7 @@ def _strip_lift(mu, row, nu) -> OpSum:
             for a, b, j in row:
                 _add_term(raw, (alpha + (a + jb,), (b - ja,) + beta),
                           _minus_q_power(ja + jb + j))
-    return normalize(raw)
+    return raw
 
 
 def _com1_row(a: int, b: int) -> tuple:
@@ -247,13 +267,13 @@ def _dual_cauchy(l: int, k: int) -> MappingProxyType:
                              for (y, z), n in counts.items()})
 
 
-def _bigmove_relation(alpha, beta, gamma) -> OpSum:
+def _bigmove_relation(alpha, beta, gamma) -> dict:
     """Slot-moving relation between factor lengths (k+l, m) and (k, l+m)
     for any lengths k, l, m of alpha, beta, gamma, from the Cauchy-twisted
     commutation of generating series: _dual_cauchy(l, m) raises beta and
     lowers gamma, minus _dual_cauchy(k, l) raising alpha and lowering beta.
-    Zero as an operator; move is the case l = 1, and the factor swap of
-    lengths (k+l, k) the case m = k."""
+    The returned raw sum {word: QPoly} is zero as an operator; move is the
+    case l = 1, and the factor swap of lengths (k+l, k) the case m = k."""
     alpha, beta, gamma = tuple(alpha), tuple(beta), tuple(gamma)
     k, l, m = len(alpha), len(beta), len(gamma)
     raw: dict = {}
@@ -263,7 +283,7 @@ def _bigmove_relation(alpha, beta, gamma) -> OpSum:
     for (x, y), c in _dual_cauchy(k, l).items():
         second = tuple(b - e for b, e in zip(beta, y)) + gamma
         _add_term(raw, (tuple(a + e for a, e in zip(alpha, x)), second), -c)
-    return normalize(raw)
+    return raw
 
 
 # Identities of rectangular operators H_{(a^k)}, as (word, coeff) terms of lhs - rhs
@@ -289,19 +309,20 @@ def relation_instance(kind: str, **params) -> OpSum:
     and quad (a, k).  move is bigmove with the one-entry middle block (a,)."""
     kind = kind.lower()
     if kind == "com1":
-        return _strip_lift(params["mu"], _com1_row(params["a"], params["b"]), params["nu"])
-    if kind == "com2":
-        return _strip_lift(params["mu"], _com2_row(params["a"]), params["nu"])
-    if kind == "move":
-        return _bigmove_relation(params["mu"], (params["a"],), params["nu"])
-    if kind == "bigmove":
-        return _bigmove_relation(params["alpha"], params["beta"], params["gamma"])
-    if kind in _FAMILIES:
-        raw: dict = {}
+        raw = _strip_lift(params["mu"], _com1_row(params["a"], params["b"]), params["nu"])
+    elif kind == "com2":
+        raw = _strip_lift(params["mu"], _com2_row(params["a"]), params["nu"])
+    elif kind == "move":
+        raw = _bigmove_relation(params["mu"], (params["a"],), params["nu"])
+    elif kind == "bigmove":
+        raw = _bigmove_relation(params["alpha"], params["beta"], params["gamma"])
+    elif kind in _FAMILIES:
+        raw = {}
         for word, c in _FAMILIES[kind](**params):
             _add_term(raw, word, _coeff(c))
-        return normalize(raw)
-    raise ValueError(f"unknown relation kind {kind!r}")
+    else:
+        raise ValueError(f"unknown relation kind {kind!r}")
+    return normalize(raw)
 
 
 # -- evaluation (the independent certificate) ------------------------------
@@ -352,14 +373,15 @@ def _concat_dominant(word) -> bool:
     return f1[-1] >= f2[0]
 
 
-def _replacement(rel: OpSum, word) -> dict:
-    """Solve rel == 0 for word: word == sum of -(c/c0) * other words, where
-    the pivot c0 must be a unit u*q^j (u = +-1), so that -1/c0 = -u*q^-j."""
-    c0 = rel.coeff(word)
+def _replacement(rel: OpSum, word, coeff: QPoly) -> dict:
+    """Solve rel == 0 for word and scale by coeff: coeff * word == sum of
+    -(coeff * c/c0) * other words, where the pivot c0 must be a unit u*q^j
+    (u = +-1), so that -1/c0 = -u*q^-j."""
+    c0 = rel._terms.get(word, QPoly.zero())
     if len(c0.items()) != 1 or abs(c0.leading_coeff()) != 1:
         raise RuntimeError(f"pivot {c0} at {format_word(word)} is not a unit")
-    inverse = QPoly.monomial(-c0.degree(), -c0.leading_coeff())
-    return {w: c * inverse for w, c in rel._terms.items() if w != word}
+    factor = coeff * QPoly.monomial(-c0.degree(), -c0.leading_coeff())
+    return {w: c * factor for w, c in rel._terms.items() if w != word}
 
 
 def _eliminate(word, name: str, relation, finished, measure,
@@ -369,9 +391,10 @@ def _eliminate(word, name: str, relation, finished, measure,
     Words for which finished(w) holds collect in the result.  Each step
     takes the unfinished word with the largest (measure, word), or the
     smallest when the measure must increase, solves relation(current) == 0
-    for it and substitutes.  Every unfinished word so produced must keep
-    the factor lengths of the input and move the measure strictly in its
-    direction, which is checked as a hard termination guard, besides a
+    for it and substitutes, straightening the relation's blocks through
+    one table for the whole call.  Every unfinished word so produced must
+    keep the factor lengths of the input and move the measure strictly in
+    its direction, which is checked as a hard termination guard, besides a
     step budget.  The result must have coefficients in Z[q].
     """
     shape = (len(word[0]), len(word[1]))
@@ -379,6 +402,7 @@ def _eliminate(word, name: str, relation, finished, measure,
     done: dict = {}
     (done if finished(word) else pending)[word] = QPoly.one()
     pick, way = (min, "increase") if increasing else (max, "decrease")
+    straight: dict = {}
     steps = 0
     while pending:
         current = pick(pending, key=lambda w: (measure(w), w))
@@ -387,9 +411,10 @@ def _eliminate(word, name: str, relation, finished, measure,
         if steps > _MAX_STEPS:
             raise RuntimeError(f"{name} exceeded the step budget")
         m = measure(current)
-        for w, c in _replacement(relation(current), current).items():
+        rel = _normalize(relation(current), straight)
+        for w, c in _replacement(rel, current, coeff).items():
             if finished(w):
-                _add_term(done, w, coeff * c)
+                _add_term(done, w, c)
                 continue
             lengths = (len(w[0]), len(w[1]))
             if lengths != shape:
@@ -397,7 +422,7 @@ def _eliminate(word, name: str, relation, finished, measure,
             if (measure(w) <= m) if increasing else (measure(w) >= m):
                 raise RuntimeError(
                     f"termination measure failed to {way} at {format_word(w)}")
-            _add_term(pending, w, coeff * c)
+            _add_term(pending, w, c)
     for w, c in done.items():
         if c.valuation() < 0:
             raise RuntimeError(
@@ -405,7 +430,7 @@ def _eliminate(word, name: str, relation, finished, measure,
     return _opsum(done)
 
 
-def _strip_relation(word) -> OpSum:
+def _strip_relation(word) -> dict:
     """The strip relation eliminating the junction of a two-factor word:
     com2 when the head of the second factor exceeds the tail of the first
     by one, com1 otherwise."""

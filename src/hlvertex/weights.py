@@ -9,6 +9,8 @@ from __future__ import annotations
 import itertools
 from operator import add, gt, sub
 
+from .memo import memo
+
 
 def rho(k: int) -> tuple:
     """The staircase (k-1, k-2, ..., 0)."""
@@ -82,7 +84,8 @@ def is_vertical_strip(nu, mu) -> bool:
     return all(a - b in (0, 1) for a, b in zip(nu, mu))
 
 
-def _vertical_strips(w, step: int) -> tuple:
+@memo
+def _vertical_strips(w: tuple, step: int) -> tuple:
     """The dominant weights w + step*d over 0/1 vectors d, decreasing."""
     out = []
     for d in itertools.product((0, step), repeat=len(w)):
@@ -94,12 +97,12 @@ def _vertical_strips(w, step: int) -> tuple:
 
 def vertical_strip_shrink(nu) -> tuple:
     """All dominant beta of the same length with nu/beta a vertical strip."""
-    return _vertical_strips(nu, -1)
+    return _vertical_strips(tuple(nu), -1)
 
 
 def vertical_strip_grow(mu) -> tuple:
     """All dominant alpha of the same length with alpha/mu a vertical strip."""
-    return _vertical_strips(mu, 1)
+    return _vertical_strips(tuple(mu), 1)
 
 
 def alpha_beta(gamma):

@@ -1,6 +1,8 @@
 """Operator-word rewriting with evaluation certificates."""
 
+import hashlib
 import itertools
+import json
 import random
 import re
 
@@ -471,11 +473,11 @@ class TestDriverGuards:
     @pytest.mark.parametrize("name", sorted(GUARDED))
     def test_pivot_must_be_a_unit(self, monkeypatch, name):
         # twice a relation is still zero, but its pivot 2*q^j has no
-        # inverse in Z[q, 1/q]
+        # inverse in Z[q, 1/q]; the generators return raw {word: QPoly} sums
         fn, word, _ = GUARDED[name]
         orig = getattr(rewrite_module, RELATION_OF[name])
         monkeypatch.setattr(rewrite_module, RELATION_OF[name],
-                            lambda *args: orig(*args).scale(2))
+                            lambda *args: {w: c * 2 for w, c in orig(*args).items()})
         message = f"^pivot .* at {re.escape(format_word(word))} is not a unit$"
         with pytest.raises(RuntimeError, match=message):
             fn(word)
@@ -491,7 +493,8 @@ class TestDriverGuards:
     def test_measure_must_move(self, monkeypatch, name):
         # handing back the eliminated word leaves the measure where it was
         fn, word, _ = GUARDED[name]
-        monkeypatch.setattr(rewrite_module, "_replacement", lambda rel, w: {w: QRat.one()})
+        monkeypatch.setattr(rewrite_module, "_replacement",
+                            lambda rel, w, coeff: {w: coeff})
         way = "decrease" if name == "rewrite_dominant" else "increase"
         message = f"termination measure failed to {way} at {format_word(word)}"
         with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
@@ -501,7 +504,7 @@ class TestDriverGuards:
     def test_unexpected_factor_lengths(self, monkeypatch, name):
         fn, word, _ = GUARDED[name]
         monkeypatch.setattr(rewrite_module, "_replacement",
-                            lambda rel, w: {((1, 0, 0), ()): QRat.one()})
+                            lambda rel, w, coeff: {((1, 0, 0), ()): coeff})
         with pytest.raises(RuntimeError, match=r"^unexpected factor lengths \(3, 0\)$"):
             fn(word)
 
@@ -509,8 +512,98 @@ class TestDriverGuards:
     def test_result_must_be_integral(self, monkeypatch, name):
         fn, word, end = GUARDED[name]
         c = QPoly.monomial(-1)
-        monkeypatch.setattr(rewrite_module, "_replacement", lambda rel, w: {end: c})
+        monkeypatch.setattr(rewrite_module, "_replacement", lambda rel, w, coeff: {end: c})
         message = (f"{name} produced a non-polynomial coefficient {c} "
                    f"at {format_word(end)}")
         with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
             fn(word)
+
+
+class TestNonIntegerEntries:
+    """A word entry that is not an integer is refused, never truncated."""
+
+    @pytest.mark.parametrize("entry", [1.5, 2.7, "3", None])
+    def test_opsum_and_normalize(self, entry):
+        word = ((entry,), (1,))
+        message = f"^word entry {re.escape(repr(entry))} is not an integer$"
+        with pytest.raises(ValueError, match=message):
+            OpSum({word: 1})
+        with pytest.raises(ValueError, match=message):
+            normalize({word: 1})
+        with pytest.raises(ValueError, match=message):
+            OpSum({((2,), (1,)): 1}).coeff(word)
+
+    @pytest.mark.parametrize("name", sorted(GUARDED))
+    def test_rewriters(self, name):
+        fn, word, _ = GUARDED[name]
+        head = word[0][0] + 0.9
+        bad = ((head,) + word[0][1:], word[1])
+        with pytest.raises(ValueError, match=f"^word entry {head!r} is not an integer$"):
+            fn(bad)
+
+    def test_relation_instance(self):
+        with pytest.raises(ValueError, match="is not an integer$"):
+            relation_instance("com2", mu=(2,), a=2.5, nu=(1,))
+
+
+class TestRewriteWork:
+    """Machine-independent work on three fixed words: straighten calls
+    through this module's binding, and relations built (one per step)."""
+
+    CASES = [
+        # name, call, relations built, straighten calls are below
+        ("swap_factors", lambda: swap_factors(((6, 4), (9, 7, 5, 2))), 81, 850),
+        ("rewrite_dominant", lambda: rewrite_dominant(((5, 3, 1), (9, 8))), 92, 400),
+        ("shift_support", lambda: shift_support(((7, 2, 1), (9, 6, 6, 3)), "right"), 37, 360),
+    ]
+
+    @pytest.mark.parametrize("name,call,relations,straightens", CASES,
+                             ids=[c[0] for c in CASES])
+    def test_each_block_straightened_once_per_call(self, monkeypatch, name, call,
+                                                   relations, straightens):
+        counts = {"straighten": 0, "relations": 0}
+
+        def counting(fn, key):
+            def wrapped(*args):
+                counts[key] += 1
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(rewrite_module, "straighten",
+                            counting(rewrite_module.straighten, "straighten"))
+        for gen in ("_strip_lift", "_bigmove_relation"):
+            monkeypatch.setattr(rewrite_module, gen,
+                                counting(getattr(rewrite_module, gen), "relations"))
+        assert not call().is_zero()
+        assert counts["relations"] == relations
+        # 808, 369 and 340: one straighten per distinct block per call
+        assert counts["straighten"] < straightens
+
+
+GOLDEN_REWRITE_SHA256 = "ac103a8b4f904576b0c572c1324431c6db92308be96cabe8eb159064cb544e6e"
+
+
+class TestRewriteGolden:
+    """Every rewriter on every ordered pair of blocks from
+    dominant_weights(n, -1, 2), n = 1..3: one name, word and JSON output
+    (or error) line per case, recorded before the eliminations shared a
+    straighten table."""
+
+    def test_rewriter_digest(self):
+        rewriters = [("rewrite_dominant", rewrite_dominant),
+                     ("shift_support_left", lambda w: shift_support(w, "left")),
+                     ("shift_support_right", lambda w: shift_support(w, "right")),
+                     ("swap_factors", swap_factors)]
+        blocks = [b for n in range(1, 4) for b in dominant_weights(n, -1, 2)]
+        h = hashlib.sha256()
+        cases = 0
+        for word in itertools.product(blocks, repeat=2):
+            for name, fn in rewriters:
+                try:
+                    out = json.dumps(fn(word).to_json(), sort_keys=True)
+                except Exception as exc:  # errors are pinned as outputs too
+                    out = f"{type(exc).__name__}: {exc}"
+                h.update(f"{name}\t{format_word(word)}\t{out}\n".encode())
+                cases += 1
+        assert cases == 4624
+        assert h.hexdigest() == GOLDEN_REWRITE_SHA256
