@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import index
 
 
 class QPoly:
@@ -26,9 +27,13 @@ class QPoly:
         c = {}
         if coeffs:
             for e, v in coeffs.items():
-                v = int(v)
-                if v:
-                    c[int(e)] = v
+                try:
+                    v = index(v)
+                    if v:
+                        c[index(e)] = v
+                except TypeError:
+                    what, bad = ("exponent", e) if isinstance(v, int) else ("coefficient", v)
+                    raise ValueError(f"QPoly {what} {bad!r} is not an integer") from None
         self._c = c
         self._hash = None
 

@@ -59,6 +59,7 @@ def _as_word(word) -> tuple:
     return tuple(tuple(map(_entry, block)) for block in word)
 
 
+@memo
 def _minus_q_power(j: int) -> QPoly:
     return QPoly.monomial(j, (-1) ** j)
 

@@ -8,18 +8,15 @@ symmetric function f as
 
 where cbar is the GL(k) tensor multiplicity; only mu with |mu| <= deg f
 contribute.  It is computed as the linear extension of a memoized kernel
-on Schur functions over Z[q], through Bernstein's operators: splitting
-the plethystic shift of H(z) f = Omega[zX] f[X + (q-1)/z] as q/z - 1/z
-gives H_nu = sum over compositions gamma into k parts of
-q^|gamma| S_{nu+gamma} h_gamma-perp.  On s_kappa, h_gamma-perp removes
-horizontal strips of sizes gamma_1, ..., gamma_k, and Bernstein's
-S_{a_1}...S_{a_k} s_rho = s_{(a, rho)} is a signed Schur function after
-straightening (Garsia 1992; Jing 1991; Macdonald I.5 Ex. 29).  Every
-word and every Z[q]-combination of words runs through one Z[q] core,
-_act, on vectors {kappa: ((exponent, coefficient), ...)}; apply_H_sum
-splits its input by denominator once and builds QRat only for its
-output.  Jing's operators are obtained by conjugating with the
-plethystic twist X -> X(1-q).
+on Schur functions over Z[q], one row of nu at a time: H_nu = sum over
+j >= 0 of q^j S_{nu_1+j} H_{nu[1:]} h_j-perp, where h_j-perp removes a
+horizontal strip of size j and Bernstein's S_a s_rho = s_{(a, rho)} is a
+signed Schur function after straightening (see _H_schur).  Every word
+and every Z[q]-combination of words runs through one Z[q] core, _act, on
+vectors {kappa: ((exponent, coefficient), ...)}; apply_H_sum splits its
+input by denominator once and builds QRat only for its output.  Jing's
+operators are obtained by conjugating with the plethystic twist
+X -> X(1-q).
 """
 
 from __future__ import annotations
@@ -68,52 +65,44 @@ def _strips_below(sigma):
 
 
 @memo
-def _peel(kappa, k: int) -> tuple:
-    """The ((gamma, rho), m) with m > 0 the coefficient of s_rho in
-    h_gamma-perp s_kappa = h_{gamma_1}-perp ... h_{gamma_k}-perp s_kappa,
-    gamma running over the compositions into k parts: m counts the ways
-    to remove k horizontal strips, of sizes gamma_1, ..., gamma_k, from
-    kappa in turn, leaving rho.  The h_j-perp commute, so the order of
-    removal does not matter."""
-    if not k:
-        return ((((), kappa), 1),)
-    out: dict = {}
-    size = sum(kappa)
-    for tau in _strips_below(kappa):
-        j = size - sum(tau)
-        for (gamma, rho), m in _peel(tau, k - 1):
-            key = ((j,) + gamma, rho)
-            out[key] = out.get(key, 0) + m
-    return tuple(out.items())
+def _bernstein(a: int, rho) -> tuple:
+    """Bernstein's S_a on s_rho: (sign, lam) with S_a s_rho = sign * s_lam,
+    from straightening (a, rho); (0, None) when it vanishes or leaves a
+    negative last part, where the Jacobi-Trudi determinant is zero."""
+    sign, lam = straighten((a,) + rho)
+    if not sign or (lam and lam[-1] < 0):
+        return 0, None
+    return sign, trim_zeros(lam)
 
 
 @memo
 def _H_schur(nu, kappa) -> MappingProxyType:
-    """The kernel H_nu(s_kappa) over Z[q], in _frozen form, by Bernstein's
-    operators on horizontal-strip removals: with k = len(nu),
+    """The kernel H_nu(s_kappa) over Z[q], in _frozen form: H_() is the
+    identity, and with S_a s_rho from _bernstein,
 
-        H_nu(s_kappa) = sum over compositions gamma into k parts of
-            q^|gamma| S_{nu + gamma} h_gamma-perp s_kappa
-          = sum over ((gamma, rho), m) in _peel(kappa, k) of
-            m q^|gamma| s_{(nu + gamma, rho)},
+        H_nu(s_kappa) = sum over tau with kappa/tau a horizontal strip of
+            q^j S_{nu_1 + j} H_{nu[1:]}(s_tau),  j = |kappa/tau|.
 
-    where s_v of an integer vector is its Jacobi-Trudi determinant: after
-    straightening, a signed Schur function, or zero when straightening
-    vanishes or leaves a negative last part.  Derivation: H_nu f is the
-    coefficient of z^nu in prod_{i<j} (1 - z_j/z_i) Omega[ZX]
-    f[X + (q-1)/Z].  Splitting (q-1)/Z as q/Z - 1/Z gives the sum over
-    gamma of q^|gamma| z^-gamma (h_gamma-perp f)[X - 1/Z], and the Weyl
-    factor times Omega[ZX] g[X - 1/Z] is Bernstein's ordered product,
-    whose z^a coefficient on s_rho is s_{(a, rho)} (Garsia 1992; Jing
-    1991; Macdonald I.5 Ex. 29).  This holds for negative entries of nu
-    too."""
+    Derivation: H_nu f is the coefficient of z^nu in prod_{i<j}
+    (1 - z_j/z_i) Omega[ZX] f[X + (q-1)/Z].  Splitting (q-1)/Z as
+    q/Z - 1/Z gives the sum over compositions gamma of q^|gamma| z^-gamma
+    (h_gamma-perp f)[X - 1/Z], and the Weyl factor times Omega[ZX]
+    g[X - 1/Z] is Bernstein's ordered product, whose z^a coefficient on
+    s_rho is s_{(a, rho)} (Garsia 1992; Jing 1991; Macdonald I.5 Ex. 29).
+    So H_nu = sum over gamma of q^|gamma| S_{nu + gamma} h_gamma-perp; the
+    h_j-perp commute, and splitting off gamma_1 = j gives the recursion,
+    whose sub-kernels every block with the tail nu[1:] shares.  This
+    holds for negative entries of nu too."""
+    if not nu:
+        return MappingProxyType({kappa: ((0, 1),)})
     acc: dict = {}
-    for (gamma, rho), m in _peel(kappa, len(nu)):
-        sign, lam = straighten(tuple(a + g for a, g in zip(nu, gamma)) + rho)
-        if sign and (not lam or lam[-1] >= 0):
-            slot = acc.setdefault(trim_zeros(lam), {})
-            e = sum(gamma)
-            slot[e] = slot.get(e, 0) + sign * m
+    size = sum(kappa)
+    for tau in _strips_below(kappa):
+        j = size - sum(tau)
+        for rho, terms in _H_schur(nu[1:], tau).items():
+            sign, lam = _bernstein(nu[0] + j, rho)
+            if sign:
+                _add_slot(acc.setdefault(lam, {}), terms, sign, j)
     return _frozen(acc)
 
 

@@ -67,6 +67,17 @@ class TestQPoly:
         with pytest.raises(TypeError):
             QRat("x")
 
+    def test_non_integer_terms_are_refused(self):
+        # each used to be truncated by int(): 1, 2*q and 2*H[1]H[1]
+        from hlvertex.rewrite import OpSum
+
+        with pytest.raises(ValueError, match=r"^QPoly coefficient 1\.5 is not an integer$"):
+            QPoly({0: 1.5})
+        with pytest.raises(ValueError, match=r"^QPoly exponent 1\.7 is not an integer$"):
+            QPoly({1.7: 2})
+        with pytest.raises(ValueError, match=r"^QPoly coefficient 2\.5 is not an integer$"):
+            OpSum({((1,), (1,)): 2.5})
+
     @pytest.mark.parametrize("k", [0, -1])
     def test_power_substitution_needs_positive_k(self, k):
         # q -> q^0 would send q + q^2 to 2; both types refuse it alike

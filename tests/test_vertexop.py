@@ -1,5 +1,6 @@
 """Vertex operators: normalization properties, specializations, twists."""
 
+import functools
 import hashlib
 import itertools
 import random
@@ -12,6 +13,7 @@ from hlvertex import symfunc as symfunc_module
 from hlvertex.coeffs import QPoly, QRat
 from hlvertex.memo import clear_caches
 from hlvertex.symfunc import (
+    SCHUR,
     SymFunc,
     X_OVER_QM1,
     X_TIMES_QM1,
@@ -27,8 +29,9 @@ from hlvertex.symfunc import (
     specialize_q,
 )
 from hlvertex.vertexop import (
+    _bernstein,
     _H_schur,
-    _peel,
+    _strips_below,
     apply_B,
     apply_F,
     apply_H,
@@ -40,6 +43,7 @@ from hlvertex.weights import (
     dominant_weights,
     pad_zeros,
     partitions_of,
+    straighten,
     trim_zeros,
     vertical_strip_shrink,
 )
@@ -129,6 +133,48 @@ def compositions(n, k):
     return [c for c in itertools.product(range(n + 1), repeat=k) if sum(c) == n]
 
 
+@functools.cache
+def _peel(kappa, k: int) -> tuple:
+    """The ((gamma, rho), m) with m > 0 the coefficient of s_rho in
+    h_gamma-perp s_kappa, gamma running over the compositions into k
+    parts: m counts the ways to remove k horizontal strips, of sizes
+    gamma_1, ..., gamma_k, from kappa in turn, leaving rho."""
+    if not k:
+        return ((((), kappa), 1),)
+    out: dict = {}
+    size = sum(kappa)
+    for tau in _strips_below(kappa):
+        j = size - sum(tau)
+        for (gamma, rho), m in _peel(tau, k - 1):
+            key = ((j,) + gamma, rho)
+            out[key] = out.get(key, 0) + m
+    return tuple(out.items())
+
+
+def flat_H_schur(nu, kappa):
+    """H_nu(s_kappa) as the flat sum over ((gamma, rho), m) in
+    _peel(kappa, len(nu)) of m q^|gamma| s_{(nu + gamma, rho)}, each s_v
+    straightened, in the canonical form of kernel_canon."""
+    acc: dict = {}
+    for (gamma, rho), m in _peel(kappa, len(nu)):
+        sign, lam = straighten(tuple(a + g for a, g in zip(nu, gamma)) + rho)
+        if sign and (not lam or lam[-1] >= 0):
+            slot = acc.setdefault(trim_zeros(lam), {})
+            e = sum(gamma)
+            slot[e] = slot.get(e, 0) + sign * m
+    return kernel_canon({idx: slot.items() for idx, slot in acc.items()})
+
+
+def kernel_canon(image):
+    """{index: ((exponent, coefficient), ...)} as a sorted tuple, zeros dropped."""
+    out = []
+    for idx, terms in image.items():
+        terms = tuple(sorted((e, v) for e, v in terms if v))
+        if terms:
+            out.append((idx, terms))
+    return tuple(sorted(out))
+
+
 class TestPeel:
     def test_against_skewing_by_products_of_h(self):
         # every (gamma, rho) multiplicity is the coefficient of s_rho in
@@ -151,6 +197,55 @@ class TestPeel:
         for d in range(7):
             for kappa in partitions_of(d):
                 assert _peel(kappa, 0) == ((((), kappa), 1),)
+
+
+class TestRowRecursion:
+    def test_equals_flat_sum(self):
+        # the row-at-a-time kernel against the flat sum over compositions
+        pairs = 0
+        for k in range(1, 5):
+            for nu in dominant_weights(k, -2, 3):
+                for d in range(7):
+                    for kappa in partitions_of(d):
+                        assert kernel_canon(_H_schur(nu, kappa)) == flat_H_schur(nu, kappa), (nu, kappa)
+                        pairs += 1
+        assert pairs == 6270
+
+    def test_empty_block_is_the_identity(self):
+        for kappa in [(), (1,), (3, 1), (2, 2, 1)]:
+            assert dict(_H_schur((), kappa)) == {kappa: ((0, 1),)}
+
+    def test_bernstein_against_jacobi_trudi(self):
+        # S_a s_rho is the Jacobi-Trudi determinant det(h_{v_i - i + j}),
+        # v = (a, rho), expanded over permutations
+        def h(n):
+            return homogeneous(n) if n >= 0 else None
+
+        kinds = {"zero": 0, "negative": 0, "schur": 0}
+        for a in range(-3, 7):
+            for d in range(5):
+                for rho in partitions_of(d):
+                    v = (a,) + rho
+                    n = len(v)
+                    det = SymFunc.zero(SCHUR)
+                    for perm in itertools.permutations(range(n)):
+                        factors = [h(v[i] - i + perm[i]) for i in range(n)]
+                        if None in factors:
+                            continue
+                        term = one()
+                        for f in factors:
+                            term = multiply(term, f)
+                        inversions = sum(perm[i] > perm[j]
+                                         for i in range(n) for j in range(i + 1, n))
+                        det = det - term if inversions % 2 else det + term
+                    sign, lam = _bernstein(a, rho)
+                    if sign:
+                        kinds["schur"] += 1
+                        assert det == schur(lam).scale(QRat(sign)), (a, rho)
+                    else:
+                        kinds["zero" if not straighten(v)[0] else "negative"] += 1
+                        assert lam is None and det.is_zero(), (a, rho)
+        assert all(kinds.values()), kinds
 
 
 class TestKernelIndependence:
