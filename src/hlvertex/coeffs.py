@@ -14,7 +14,6 @@ Values are immutable; all operations return fresh objects.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from operator import index
 
 
@@ -179,7 +178,9 @@ class QPoly:
             return self
         return QPoly({e * k: v for e, v in self._c.items()})
 
-    def evaluate(self, x) -> Fraction:
+    def evaluate(self, x):
+        """Exact value, a Fraction, at a rational value of q."""
+        from fractions import Fraction  # on use: it imports decimal
         x = Fraction(x)
         total = Fraction(0)
         for e, v in self._c.items():
@@ -246,71 +247,75 @@ def _as_qpoly(x) -> QPoly:
     raise TypeError(f"cannot coerce {type(x).__name__} to QPoly")
 
 
-# -- polynomial gcd over Z[q] (via monic Euclid over Q[q]) -------------
+# -- polynomial gcd over Z[q] (primitive remainder sequence) ----------
 
 
 def _dense(p: QPoly) -> list:
-    deg = p.degree()
-    out = [Fraction(0)] * (deg + 1)
+    """Integer coefficients of an ordinary polynomial, lowest degree first."""
+    out = [0] * (p.degree() + 1)
     for e, v in p._c.items():
-        out[e] = Fraction(v)
+        out[e] = v
     return out
 
 
-def _divmod(a: list, b: list) -> tuple:
-    """Long division of dense Fraction lists, lowest degree first, by a
-    trimmed nonzero b: (quotient, trimmed remainder)."""
+def _primitive(a: list) -> list:
+    """A trimmed nonzero integer list divided by its content, leading
+    coefficient made positive."""
+    g = math.gcd(*a)
+    return [v // (g if a[-1] > 0 else -g) for v in a]
+
+
+def _pseudo_rem(a: list, b: list) -> list:
+    """Primitive part of a pseudo-remainder of a by b (trimmed integer
+    lists, b's leading coefficient positive); empty when b divides a.  Each
+    step scales a by the least factor that lets b cancel its top term."""
     a = a[:]
-    db = len(b) - 1
-    lead = b[-1]
-    quot = [Fraction(0)] * max(len(a) - db, 0)
+    db, lead = len(b) - 1, b[-1]
     while len(a) > db:
-        factor = a.pop() / lead
-        if factor:
-            shift = len(a) - db
-            quot[shift] = factor
+        top = a.pop()
+        if top:
+            g = math.gcd(top, lead)
+            if g != lead:
+                a = [v * (lead // g) for v in a]
+            shift, top = len(a) - db, top // g
             for i in range(db):
-                a[shift + i] -= factor * b[i]
-    while a and a[-1] == 0:
+                a[shift + i] -= top * b[i]
+    while a and not a[-1]:
         a.pop()
-    return quot, a
-
-
-def _primitive_int(a: list) -> QPoly:
-    """Clear denominators of a Fraction list, strip content, positive lead."""
-    denom_lcm = 1
-    for x in a:
-        denom_lcm = denom_lcm * x.denominator // math.gcd(denom_lcm, x.denominator)
-    ints = [int(x * denom_lcm) for x in a]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
-    if ints[-1] < 0:
-        g = -g
-    return QPoly({e: v // g for e, v in enumerate(ints) if v})
+    return _primitive(a) if a else a
 
 
 def _poly_gcd(a: QPoly, b: QPoly) -> QPoly:
     """Primitive gcd in Z[q] of two nonzero ordinary polynomials, positive
-    leading coefficient."""
-    A, B = _dense(a), _dense(b)
+    leading coefficient, by the primitive remainder sequence (Collins;
+    Knuth, TAOCP 4.6.1)."""
+    A, B = _primitive(_dense(a)), _primitive(_dense(b))
     while B:
-        A, B = B, _divmod(A, B)[1]
-    return _primitive_int(A)
+        if len(B) == 1:
+            return _QP_ONE
+        A, B = B, _pseudo_rem(A, B)
+    return QPoly(dict(enumerate(A)))
 
 
 def _exact_div(a: QPoly, g: QPoly) -> QPoly:
-    """Exact division a / g for ordinary polynomials; g must divide a."""
-    quot, rem = _divmod(_dense(a), _dense(g))
-    if rem:
-        raise ArithmeticError("inexact polynomial division")
-    out = {}
-    for e, v in enumerate(quot):
-        if v:
-            if v.denominator != 1:
+    """Exact division a / g for ordinary polynomials by integer long
+    division; g must divide a with an integral quotient."""
+    a, b = _dense(a), _dense(g)
+    db, lead = len(b) - 1, b[-1]
+    quot = {}
+    while len(a) > db:
+        top = a.pop()
+        if top:
+            f, r = divmod(top, lead)
+            if r:
                 raise ArithmeticError("non-integral quotient")
-            out[e] = int(v)
-    return QPoly(out)
+            shift = len(a) - db
+            quot[shift] = f
+            for i in range(db):
+                a[shift + i] -= f * b[i]
+    if any(a):
+        raise ArithmeticError("inexact polynomial division")
+    return QPoly(quot)
 
 
 class QRat:
@@ -440,8 +445,9 @@ class QRat:
             return self
         return QRat(self._num.subs_qpower(k), self._den.subs_qpower(k))
 
-    def specialize(self, value) -> Fraction:
-        """Exact evaluation at a rational value of q."""
+    def specialize(self, value):
+        """Exact value, a Fraction, at a rational value of q."""
+        from fractions import Fraction  # on use: it imports decimal
         value = Fraction(value)
         d = self._den.evaluate(value)
         if d == 0:
@@ -522,7 +528,7 @@ def q_power_substitute(c: QRat, k: int) -> QRat:
     return c.subs_qpower(k)
 
 
-def specialize(c: QRat, value) -> Fraction:
+def specialize(c: QRat, value):
     return c.specialize(value)
 
 

@@ -12,7 +12,6 @@ the library's central cross-check; neither uses the other.
 from __future__ import annotations
 
 import itertools
-import logging
 
 from .coeffs import QPoly
 from .memo import memo
@@ -27,7 +26,6 @@ from .weights import (
     vertical_strip_shrink,
 )
 
-log = logging.getLogger(__name__)
 
 # the most nodes the Kostant engine's permutation walk may visit
 _MAX_WALK_NODES = 100_000
@@ -313,8 +311,10 @@ def kostka_table(eta, degree_bound: int, method: str = "both") -> list:
                 if value.is_zero():
                     continue
                 if any(c < 0 for _, c in value.items()):
-                    log.warning("negative coefficient in K at lam=%s gamma=%s: %s",
-                                lam, gamma, value)
+                    import logging  # on use: a rare path, and a costly import
+                    logging.getLogger("hlvertex.kostka").warning(
+                        "negative coefficient in K at lam=%s gamma=%s: %s",
+                        lam, gamma, value)
                 rows.append({"lambda": lam, "gamma": gamma, "eta": eta, "K": value})
     rows.sort(key=lambda r: (sum(r["lambda"]), r["lambda"], r["gamma"]))
     return rows

@@ -333,5 +333,14 @@ def test_criterion_10_performance(capsys):
     assert code == 0
     assert out.splitlines()[0].split() == ["lambda", "gamma", "K"]
     assert elapsed < 60, f"table took {elapsed:.1f}s"
+    # the inverse twist X -> X/(1-q) is where Q(q) denominators occur, so it
+    # times the QRat reduction; a Fraction-based gcd took 7.5-9 s here
+    hlvertex.clear_caches()
+    start = time.time()
+    pulled = apply_F(schur((4, 3, 3)), inverse=True)
+    twist = time.time() - start
+    assert len(pulled.terms()) == sum(1 for _ in partitions_of(10))
+    assert twist < 5, f"inverse twist took {twist:.1f}s"
     with capsys.disabled():
-        report(10, f"cold table eta=2,2 degree 6 in {elapsed:.3f}s")
+        report(10, f"cold table eta=2,2 degree 6 in {elapsed:.3f}s, cold inverse "
+                   f"twist of s_433 in {twist:.2f}s")

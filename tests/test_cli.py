@@ -15,6 +15,13 @@ from hlvertex.cli import main
 from hlvertex.rewrite import relation_instance
 
 
+def source_env() -> dict:
+    """The environment for a child interpreter that imports this checkout."""
+    src = str(Path(hlvertex.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -263,9 +270,7 @@ class TestDeterminismAndErrors:
         # the reader is gone before the first byte is written, as in
         # `hlvertex table ... | head -c 50` when head exits first; buffered,
         # this short output is still pending when the interpreter exits
-        src = str(Path(hlvertex.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env = source_env()
         env.pop("PYTHONUNBUFFERED", None)
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"
@@ -278,3 +283,24 @@ class TestDeterminismAndErrors:
         proc.stderr.close()
         assert proc.wait(timeout=120) == 1
         assert err == b""
+
+
+class TestImportSet:
+    def test_cli_import_leaves_rare_modules_unloaded(self):
+        # logging and fractions (which pulls in decimal) serve only the
+        # negative-coefficient warning and exact evaluation at a value of q,
+        # so a cold CLI start does not pay for them; both still work
+        code = (
+            "import sys, hlvertex.cli\n"
+            "loaded = {'logging', 'fractions', 'decimal'} & set(sys.modules)\n"
+            "assert not loaded, loaded\n"
+            "from fractions import Fraction\n"
+            "from hlvertex import QPoly, QRat, schur, specialize_q\n"
+            "assert type(QPoly({0: 1, 1: 1}).evaluate(2)) is Fraction\n"
+            "f = schur((1,)).scale(QRat(1, QPoly({0: 1, 1: -1})))\n"
+            "assert specialize_q(f, 2) == {(1,): Fraction(-1)}\n"
+            "assert all(type(v) is Fraction for v in specialize_q(f, 2).values())\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=source_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr

@@ -1,6 +1,7 @@
 """Exact q-coefficient arithmetic."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,8 @@ except ImportError:  # the differential test below needs it
 from hlvertex.coeffs import (
     QPoly,
     QRat,
+    _exact_div,
+    _poly_gcd,
     is_integral_polynomial,
     q_power_substitute,
     specialize,
@@ -152,6 +155,86 @@ class TestQRatExamples:
     def test_content_reduction(self):
         assert qr({0: 2}, {0: 4}) == qr({0: 1}, {0: 2})
         assert str(qr({1: 2}, {0: 4})) == "q/2"
+
+
+def _fraction_rem(a: list, b: list) -> list:
+    """Remainder of dense Fraction lists, lowest degree first, by a trimmed
+    nonzero b, trimmed."""
+    a = a[:]
+    db = len(b) - 1
+    while len(a) > db:
+        factor = a.pop() / b[-1]
+        shift = len(a) - db
+        for i in range(db):
+            a[shift + i] -= factor * b[i]
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def fraction_euclid_gcd(a: QPoly, b: QPoly) -> QPoly:
+    """Oracle: Euclid over Q[q] on Fraction lists, then denominators cleared,
+    content stripped and the leading coefficient made positive."""
+    def dense(p):
+        out = [Fraction(0)] * (p.degree() + 1)
+        for e, v in p._c.items():
+            out[e] = Fraction(v)
+        return out
+
+    A, B = dense(a), dense(b)
+    while B:
+        A, B = B, _fraction_rem(A, B)
+    scale = math.lcm(*(x.denominator for x in A))
+    ints = [int(x * scale) for x in A]
+    g = math.gcd(*ints) * (1 if ints[-1] > 0 else -1)
+    return QPoly({e: v // g for e, v in enumerate(ints) if v})
+
+
+def one_minus_q(k: int) -> QPoly:
+    return QPoly({0: 1, k: -1})
+
+
+# shared factors: (1-q^k) powers, integer content, negative leading
+# coefficients, constants and monomials
+SHARED = [one_minus_q(1), one_minus_q(1) ** 3, one_minus_q(2) ** 2,
+          one_minus_q(3) * one_minus_q(1), one_minus_q(4) ** 2 * one_minus_q(2),
+          QPoly({0: 6, 1: -4}), QPoly({0: 2, 2: -3}), QPoly({0: 1, 1: 1, 2: -2}),
+          QPoly({0: 1}), QPoly({0: -4}), QPoly({0: 12}),
+          QPoly({1: 1}), QPoly({3: -2}), QPoly({2: 5, 3: 5})]
+
+
+def gcd_grid(seed: int = 17, size: int = 400):
+    """Seeded pairs (a, b, shared) with shared dividing both a and b."""
+    rng = random.Random(seed)
+
+    def cofactor():
+        if rng.random() < 0.4:
+            return rng.choice(SHARED)
+        p = QPoly({e: rng.randint(-3, 3) for e in range(rng.randint(1, 5))})
+        return QPoly.one() if p.is_zero() else p
+
+    for _ in range(size):
+        shared = rng.choice(SHARED)
+        yield shared * cofactor(), shared * cofactor() * rng.choice([1, -1, 3]), shared
+
+
+class TestPolyGcd:
+    def test_against_fraction_euclid(self):
+        for a, b, shared in gcd_grid():
+            g = _poly_gcd(a, b)
+            assert g == fraction_euclid_gcd(a, b), (a, b)
+            assert g.leading_coeff() > 0 and g.content() == 1
+            # the gcd is divisible by the shared factor's primitive part and
+            # divides both inputs over Z[q]
+            _exact_div(g * shared.content(), shared)
+            assert _exact_div(a, g) * g == a and _exact_div(b, g) * g == b
+            assert _exact_div(a * b, b) == a  # b may carry integer content
+
+    def test_exact_div_refusals(self):
+        with pytest.raises(ArithmeticError, match="^inexact polynomial division$"):
+            _exact_div(QPoly({2: 1, 0: 1}), QPoly({1: 1, 0: 1}))  # (q^2+1)/(q+1)
+        with pytest.raises(ArithmeticError, match="^non-integral quotient$"):
+            _exact_div(QPoly({1: 1, 0: 1}), QPoly({1: 2, 0: 2}))  # (q+1)/(2q+2)
 
 
 coeff_ints = st.integers(min_value=-6, max_value=6)

@@ -1,6 +1,7 @@
 """Generalized Kostka polynomials: both engines, tables, recurrences."""
 
 import itertools
+import logging
 import random
 import time
 import types
@@ -376,6 +377,15 @@ class TestTable:
     def test_engine_cross_check_runs(self):
         rows = kostka_table((2, 1), 3, method="both")
         assert all(not r["K"].is_zero() for r in rows)
+
+    def test_negative_coefficient_is_logged(self, monkeypatch, caplog):
+        monkeypatch.setattr(kostka_module, "kostka", lambda lam, gamma, method: -QPoly.q())
+        with caplog.at_level(logging.WARNING, logger="hlvertex.kostka"):
+            rows = kostka_table((1,), 1)
+        assert [r["K"] for r in rows] == [-QPoly.q()]
+        assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+            ("hlvertex.kostka", logging.WARNING,
+             "negative coefficient in K at lam=(1,) gamma=((1,),): -q")]
 
 
 class TestColSkew:

@@ -287,6 +287,24 @@ class TestKernelGolden:
         assert h.hexdigest() == GOLDEN_KERNEL_SHA256
 
 
+# SHA-256 over str() of apply_F(s_lam) and apply_F(s_lam, inverse=True) for
+# every partition lam of degree <= 6, then the inverse twist of s_433;
+# recorded with the Fraction-based gcd, before the integer-only reduction
+GOLDEN_TWIST_SHA256 = "fa3df4e030c5aa9a135607ce412acdecc4c710dda8c52d17e7dbe7cb0bdba697"
+
+
+class TestTwistGolden:
+    def test_twist_digest(self):
+        h = hashlib.sha256()
+        for d in range(7):
+            for lam in partitions_of(d):
+                for inverse in (False, True):
+                    image = apply_F(schur(lam), inverse=inverse)
+                    h.update(f"{lam} {inverse} {image}\n".encode())
+        h.update(f"(4, 3, 3) True {apply_F(schur((4, 3, 3)), inverse=True)}\n".encode())
+        assert h.hexdigest() == GOLDEN_TWIST_SHA256
+
+
 laurent = st.dictionaries(st.integers(-2, 3), st.integers(-3, 3),
                           min_size=1, max_size=3).map(lambda d: QRat(QPoly(d)))
 denominators = st.sampled_from([QPoly({0: 1, 1: -1}), QPoly({0: 1, 2: -1}),
