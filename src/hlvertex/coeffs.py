@@ -513,6 +513,14 @@ def _add_term(terms: dict, key, value) -> None:
         terms[key] = value
 
 
+def _add_slot(dst: dict, terms, c: int, shift: int = 0) -> None:
+    """dst += c * q**shift * terms, on Z[q] slots: exponent -> int dicts,
+    terms as (exponent, coefficient) pairs.  Zeros are left in dst."""
+    for e, v in terms:
+        e += shift
+        dst[e] = dst.get(e, 0) + c * v
+
+
 def _as_qrat(x) -> QRat:
     if isinstance(x, QRat):
         return x

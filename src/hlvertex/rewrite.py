@@ -23,16 +23,17 @@ move is its case l = 1.  relation_instance builds each relation once:
 com1 and com2 (Jing's one-row rules lifted through vertical strips), move,
 bigmove and the identity families.  Correctness of any produced sum can be
 certified through the evaluator, which is an independent oracle.
-The relation generators return raw sums over unstraightened blocks, and
-each elimination straightens every distinct block once per call.
+The relation generators return raw sums over unstraightened blocks as
+flat (word, exponent, integer) terms, and each elimination straightens
+every distinct block once per call.  The elimination runs on Z[q] slots
+{exponent: int} and builds one QPoly per output word at the end.
 """
 
 from __future__ import annotations
 
 import operator
-from types import MappingProxyType
 
-from .coeffs import QPoly, QRat, _add_term
+from .coeffs import QPoly, QRat, _add_slot, _add_term
 from .memo import memo
 from .symfunc import SymFunc, format_linear, schur
 from .vertexop import apply_H_sum, apply_H_word
@@ -57,11 +58,6 @@ def _entry(x) -> int:
 
 def _as_word(word) -> tuple:
     return tuple(tuple(map(_entry, block)) for block in word)
-
-
-@memo
-def _minus_q_power(j: int) -> QPoly:
-    return QPoly.monomial(j, (-1) ** j)
 
 
 def _coeff(c) -> QPoly:
@@ -156,21 +152,29 @@ class OpSum:
 def normalize(raw: dict) -> OpSum:
     """Straighten every block of every word, folding signs into the
     coefficients, dropping vanishing words and combining like terms."""
-    checked: dict = {}
+    terms = []
     for word, c in raw.items():
         c = _coeff(c)
         if not c.is_zero():
-            _add_term(checked, _as_word(word), c)
-    return _normalize(checked, {})
+            word = _as_word(word)
+            terms.extend((word, e, v) for e, v in c.items())
+    return _from_slots(_normalize(terms, {}))
 
 
-def _normalize(raw: dict, straight: dict) -> OpSum:
-    """normalize for words of int tuples with QPoly coefficients, as the
-    relation generators build them; straight maps each block seen so far
-    to its straighten() value and may be shared across calls."""
+def _from_slots(slots: dict) -> OpSum:
+    """The OpSum of Z[q] slots {word: {exponent: int}}, one QPoly per word
+    whose slot does not cancel."""
+    return _opsum({w: QPoly(s) for w, s in slots.items() if any(s.values())})
+
+
+def _normalize(raw, straight: dict) -> dict:
+    """Straighten the blocks of raw (word, exponent, int) terms over int
+    words, as the relation generators build them, folding signs into the
+    integers, into Z[q] slots {word: {exponent: int}}.  A slot may cancel
+    to zeros.  straight maps each block seen so far to its straighten()
+    value and may be shared across calls."""
     out: dict = {}
-    for word, c in raw.items():
-        sign = 1
+    for word, e, n in raw:
         blocks = []
         for block in word:
             hit = straight.get(block)
@@ -179,11 +183,12 @@ def _normalize(raw: dict, straight: dict) -> OpSum:
             s, dom = hit
             if not s:
                 break
-            sign *= s
+            n *= s
             blocks.append(dom)
         else:
-            _add_term(out, tuple(blocks), c if sign > 0 else -c)
-    return _opsum(out)
+            slot = out.setdefault(tuple(blocks), {})
+            slot[e] = slot.get(e, 0) + n
+    return out
 
 
 # -- word notation --------------------------------------------------------
@@ -222,21 +227,21 @@ def parse_word(text: str) -> tuple:
 # -- relation generators ---------------------------------------------------
 
 
-def _strip_lift(mu, row, nu) -> dict:
+def _strip_lift(mu, row, nu) -> list:
     """Lift a one-row relation row = ((a, b, j), ...), the sum of
     (-q)^j H_a H_b, to the strip relation between mu and nu: each pair of
     alpha in vertical_strip_grow(mu) and beta in vertical_strip_shrink(nu)
     contributes the row with H_a H_b replaced by H_{alpha + (a + |nu/beta|)}
     H_{(b - |alpha/mu|) + beta}, times (-q)^(|alpha/mu| + |nu/beta|).  The
-    returned raw sum {word: QPoly} is the zero operator."""
-    raw: dict = {}
+    returned raw sum of (word, exponent, int) terms is the zero operator."""
+    raw = []
     for alpha in vertical_strip_grow(mu):
         ja = sum(alpha) - sum(mu)
         for beta in vertical_strip_shrink(nu):
             jb = sum(nu) - sum(beta)
             for a, b, j in row:
-                _add_term(raw, (alpha + (a + jb,), (b - ja,) + beta),
-                          _minus_q_power(ja + jb + j))
+                e = ja + jb + j
+                raw.append(((alpha + (a + jb,), (b - ja,) + beta), e, -1 if e % 2 else 1))
     return raw
 
 
@@ -252,11 +257,11 @@ def _com2_row(a: int) -> tuple:
 
 
 @memo
-def _dual_cauchy(l: int, k: int) -> MappingProxyType:
-    """prod over i < l, j < k of (1 - q y_i z_j) as {(y exponents, z
-    exponents): QPoly}, multiplied out one factor at a time with integer
-    counts of 0/1 matrices by row and column sums.  By the dual Cauchy
-    identity it is the sum over theta in the l x k box of
+def _dual_cauchy(l: int, k: int) -> tuple:
+    """prod over i < l, j < k of (1 - q y_i z_j) as terms (y exponents,
+    z exponents, exponent of q, integer), multiplied out one factor at a
+    time with integer counts of 0/1 matrices by row and column sums.  By
+    the dual Cauchy identity it is the sum over theta in the l x k box of
     (-q)^|theta| s_theta(y) s_theta'(z)."""
     counts = {((0,) * l, (0,) * k): 1}
     for i in range(l):
@@ -264,41 +269,41 @@ def _dual_cauchy(l: int, k: int) -> MappingProxyType:
             for (y, z), n in list(counts.items()):
                 key = (y[:i] + (y[i] + 1,) + y[i + 1:], z[:j] + (z[j] + 1,) + z[j + 1:])
                 counts[key] = counts.get(key, 0) + n
-    return MappingProxyType({(y, z): _minus_q_power(sum(y)) * n
-                             for (y, z), n in counts.items()})
+    return tuple((y, z, sum(y), -n if sum(y) % 2 else n) for (y, z), n in counts.items())
 
 
-def _bigmove_relation(alpha, beta, gamma) -> dict:
+def _bigmove_relation(alpha, beta, gamma) -> list:
     """Slot-moving relation between factor lengths (k+l, m) and (k, l+m)
     for any lengths k, l, m of alpha, beta, gamma, from the Cauchy-twisted
     commutation of generating series: _dual_cauchy(l, m) raises beta and
     lowers gamma, minus _dual_cauchy(k, l) raising alpha and lowering beta.
-    The returned raw sum {word: QPoly} is zero as an operator; move is the
-    case l = 1, and the factor swap of lengths (k+l, k) the case m = k."""
+    The returned raw sum of (word, exponent, int) terms is zero as an
+    operator; move is the case l = 1, and the factor swap of lengths
+    (k+l, k) the case m = k."""
     alpha, beta, gamma = tuple(alpha), tuple(beta), tuple(gamma)
     k, l, m = len(alpha), len(beta), len(gamma)
-    raw: dict = {}
-    for (y, z), c in _dual_cauchy(l, m).items():
-        first = alpha + tuple(b + e for b, e in zip(beta, y))
-        _add_term(raw, (first, tuple(g - e for g, e in zip(gamma, z))), c)
-    for (x, y), c in _dual_cauchy(k, l).items():
-        second = tuple(b - e for b, e in zip(beta, y)) + gamma
-        _add_term(raw, (tuple(a + e for a, e in zip(alpha, x)), second), -c)
+    raw = [((alpha + tuple(b + d for b, d in zip(beta, y)),
+             tuple(g - d for g, d in zip(gamma, z))), e, n)
+           for y, z, e, n in _dual_cauchy(l, m)]
+    raw += [((tuple(a + d for a, d in zip(alpha, x)),
+              tuple(b - d for b, d in zip(beta, y)) + gamma), e, -n)
+            for x, y, e, n in _dual_cauchy(k, l)]
     return raw
 
 
-# Identities of rectangular operators H_{(a^k)}, as (word, coeff) terms of lhs - rhs
+# Identities of rectangular operators H_{(a^k)}, as (word, exponent, int)
+# terms of lhs - rhs
 _FAMILIES = {
     # H_{(a^n)} H_{(a^k)} = H_{(a^k)} H_{(a^n)}
-    "same-width": lambda a, k, n: [(((a,) * n, (a,) * k), 1),
-                                   (((a,) * k, (a,) * n), -1)],
+    "same-width": lambda a, k, n: [(((a,) * n, (a,) * k), 0, 1),
+                                   (((a,) * k, (a,) * n), 0, -1)],
     # H_{(a^k)} H_{((a+1)^k)} = q^k H_{((a+1)^k)} H_{(a^k)}
-    "one-more": lambda a, k: [(((a,) * k, (a + 1,) * k), 1),
-                              (((a + 1,) * k, (a,) * k), -QPoly.monomial(k))],
+    "one-more": lambda a, k: [(((a,) * k, (a + 1,) * k), 0, 1),
+                              (((a + 1,) * k, (a,) * k), k, -1)],
     # H_{(a^k)} H_{(a^k)} = H_{(a^(k+1))} H_{(a^(k-1))} + q^k H_{((a+1)^k)} H_{((a-1)^k)}
-    "quad": lambda a, k: [(((a,) * k, (a,) * k), 1),
-                          (((a,) * (k + 1), (a,) * (k - 1)), -1),
-                          (((a + 1,) * k, (a - 1,) * k), -QPoly.monomial(k))],
+    "quad": lambda a, k: [(((a,) * k, (a,) * k), 0, 1),
+                          (((a,) * (k + 1), (a,) * (k - 1)), 0, -1),
+                          (((a + 1,) * k, (a - 1,) * k), k, -1)],
 }
 
 
@@ -318,12 +323,10 @@ def relation_instance(kind: str, **params) -> OpSum:
     elif kind == "bigmove":
         raw = _bigmove_relation(params["alpha"], params["beta"], params["gamma"])
     elif kind in _FAMILIES:
-        raw = {}
-        for word, c in _FAMILIES[kind](**params):
-            _add_term(raw, word, _coeff(c))
+        raw = _FAMILIES[kind](**params)
     else:
         raise ValueError(f"unknown relation kind {kind!r}")
-    return normalize(raw)
+    return _from_slots(_normalize([(_as_word(w), e, n) for w, e, n in raw], {}))
 
 
 # -- evaluation (the independent certificate) ------------------------------
@@ -374,15 +377,19 @@ def _concat_dominant(word) -> bool:
     return f1[-1] >= f2[0]
 
 
-def _replacement(rel: OpSum, word, coeff: QPoly) -> dict:
-    """Solve rel == 0 for word and scale by coeff: coeff * word == sum of
-    -(coeff * c/c0) * other words, where the pivot c0 must be a unit u*q^j
-    (u = +-1), so that -1/c0 = -u*q^-j."""
-    c0 = rel._terms.get(word, QPoly.zero())
-    if len(c0.items()) != 1 or abs(c0.leading_coeff()) != 1:
-        raise RuntimeError(f"pivot {c0} at {format_word(word)} is not a unit")
-    factor = coeff * QPoly.monomial(-c0.degree(), -c0.leading_coeff())
-    return {w: c * factor for w, c in rel._terms.items() if w != word}
+def _replacement(rel: dict, word, coeff: dict) -> dict:
+    """Solve rel == 0 for word and scale by coeff, on the Z[q] slots of
+    _normalize: coeff * word == sum of -(coeff * c/c0) * other words, where
+    the pivot c0 must be a unit u*q^j (u = +-1), so that -1/c0 = -u*q^-j.
+    Returns {word: [(exponent, int), ...]}, leaving out words whose slot
+    cancels."""
+    pivot = [(e, v) for e, v in rel.get(word, {}).items() if v]
+    if len(pivot) != 1 or abs(pivot[0][1]) != 1:
+        raise RuntimeError(f"pivot {QPoly(dict(pivot))} at {format_word(word)} is not a unit")
+    (j, u), = pivot
+    factor = [(s - j, -u * v) for s, v in coeff.items() if v]
+    return {w: [(s + e, v * c) for s, v in factor for e, c in slot.items() if c]
+            for w, slot in rel.items() if w != word and any(slot.values())}
 
 
 def _eliminate(word, name: str, relation, finished, measure,
@@ -397,41 +404,68 @@ def _eliminate(word, name: str, relation, finished, measure,
     keep the factor lengths of the input and move the measure strictly in
     its direction, which is checked as a hard termination guard, besides a
     step budget.  The result must have coefficients in Z[q].
+
+    Coefficients stay Z[q] slots until each output word gets one QPoly.
+    Words enter a heap once, keyed (measure, word) or, largest first,
+    (-measure, word with every entry negated): all queued words have the
+    input's factor lengths, so the negation reverses their order exactly.
+    A queued word whose slot cancels is dropped without a step.
     """
+    import heapq  # on use: keeps the CLI's import light
+
     shape = (len(word[0]), len(word[1]))
+    if increasing:
+        def entry(w, m):
+            return m, w, w
+    else:
+        def entry(w, m):
+            return -m, tuple(tuple(-x for x in b) for b in w), w
     pending: dict = {}
     done: dict = {}
-    (done if finished(word) else pending)[word] = QPoly.one()
-    pick, way = (min, "increase") if increasing else (max, "decrease")
+    heap: list = []
+    if finished(word):
+        done[word] = {0: 1}
+    else:
+        pending[word] = {0: 1}
+        heap.append(entry(word, measure(word)))
+    way = "increase" if increasing else "decrease"
     straight: dict = {}
     steps = 0
-    while pending:
-        current = pick(pending, key=lambda w: (measure(w), w))
+    while heap:
+        current = heapq.heappop(heap)[2]
         coeff = pending.pop(current)
+        if not any(coeff.values()):
+            continue
         steps += 1
         if steps > _MAX_STEPS:
             raise RuntimeError(f"{name} exceeded the step budget")
         m = measure(current)
         rel = _normalize(relation(current), straight)
-        for w, c in _replacement(rel, current, coeff).items():
+        for w, terms in _replacement(rel, current, coeff).items():
             if finished(w):
-                _add_term(done, w, c)
+                _add_slot(done.setdefault(w, {}), terms, 1)
                 continue
             lengths = (len(w[0]), len(w[1]))
             if lengths != shape:
                 raise RuntimeError(f"unexpected factor lengths {lengths}")
-            if (measure(w) <= m) if increasing else (measure(w) >= m):
+            mw = measure(w)
+            if (mw <= m) if increasing else (mw >= m):
                 raise RuntimeError(
                     f"termination measure failed to {way} at {format_word(w)}")
-            _add_term(pending, w, c)
-    for w, c in done.items():
+            slot = pending.get(w)
+            if slot is None:
+                slot = pending[w] = {}
+                heapq.heappush(heap, entry(w, mw))
+            _add_slot(slot, terms, 1)
+    out = _from_slots(done)
+    for w, c in out._terms.items():
         if c.valuation() < 0:
             raise RuntimeError(
                 f"{name} produced a non-polynomial coefficient {c} at {format_word(w)}")
-    return _opsum(done)
+    return out
 
 
-def _strip_relation(word) -> dict:
+def _strip_relation(word) -> list:
     """The strip relation eliminating the junction of a two-factor word:
     com2 when the head of the second factor exceeds the tail of the first
     by one, com1 otherwise."""

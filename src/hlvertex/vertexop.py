@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 from types import MappingProxyType
 
-from .coeffs import QPoly, QRat, _add_term
+from .coeffs import QPoly, QRat, _add_slot, _add_term
 from .memo import memo
 from .symfunc import (
     SCHUR,
@@ -36,13 +36,6 @@ from .symfunc import (
     schur_product_expansion,  # noqa: F401  not called; perfbench/tests wraps it here
 )
 from .weights import is_dominant, straighten, trim_zeros
-
-
-def _add_slot(dst: dict, terms, c: int, shift: int = 0) -> None:
-    """dst += c * q**shift * terms, on exponent -> int dicts."""
-    for e, v in terms:
-        e += shift
-        dst[e] = dst.get(e, 0) + c * v
 
 
 def _frozen(acc: dict) -> MappingProxyType:

@@ -5,6 +5,8 @@ import itertools
 import json
 import random
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -27,6 +29,7 @@ from hlvertex.rewrite import (
 from hlvertex.symfunc import SymFunc, one, schur
 from hlvertex.vertexop import apply_F, apply_H_sum, apply_H_word
 from hlvertex.weights import dominant_weights, is_dominant, partitions_of
+from test_cli import source_env
 
 Q = QRat.q()
 
@@ -473,11 +476,12 @@ class TestDriverGuards:
     @pytest.mark.parametrize("name", sorted(GUARDED))
     def test_pivot_must_be_a_unit(self, monkeypatch, name):
         # twice a relation is still zero, but its pivot 2*q^j has no
-        # inverse in Z[q, 1/q]; the generators return raw {word: QPoly} sums
+        # inverse in Z[q, 1/q]; the generators return raw (word, exponent,
+        # int) terms
         fn, word, _ = GUARDED[name]
         orig = getattr(rewrite_module, RELATION_OF[name])
         monkeypatch.setattr(rewrite_module, RELATION_OF[name],
-                            lambda *args: {w: c * 2 for w, c in orig(*args).items()})
+                            lambda *args: [(w, e, 2 * n) for w, e, n in orig(*args)])
         message = f"^pivot .* at {re.escape(format_word(word))} is not a unit$"
         with pytest.raises(RuntimeError, match=message):
             fn(word)
@@ -491,10 +495,11 @@ class TestDriverGuards:
 
     @pytest.mark.parametrize("name", sorted(GUARDED))
     def test_measure_must_move(self, monkeypatch, name):
-        # handing back the eliminated word leaves the measure where it was
+        # handing back the eliminated word leaves the measure where it was;
+        # _replacement maps words to (exponent, int) pairs
         fn, word, _ = GUARDED[name]
         monkeypatch.setattr(rewrite_module, "_replacement",
-                            lambda rel, w, coeff: {w: coeff})
+                            lambda rel, w, coeff: {w: coeff.items()})
         way = "decrease" if name == "rewrite_dominant" else "increase"
         message = f"termination measure failed to {way} at {format_word(word)}"
         with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
@@ -504,7 +509,7 @@ class TestDriverGuards:
     def test_unexpected_factor_lengths(self, monkeypatch, name):
         fn, word, _ = GUARDED[name]
         monkeypatch.setattr(rewrite_module, "_replacement",
-                            lambda rel, w, coeff: {((1, 0, 0), ()): coeff})
+                            lambda rel, w, coeff: {((1, 0, 0), ()): coeff.items()})
         with pytest.raises(RuntimeError, match=r"^unexpected factor lengths \(3, 0\)$"):
             fn(word)
 
@@ -512,7 +517,8 @@ class TestDriverGuards:
     def test_result_must_be_integral(self, monkeypatch, name):
         fn, word, end = GUARDED[name]
         c = QPoly.monomial(-1)
-        monkeypatch.setattr(rewrite_module, "_replacement", lambda rel, w, coeff: {end: c})
+        monkeypatch.setattr(rewrite_module, "_replacement",
+                            lambda rel, w, coeff: {end: [(-1, 1)]})
         message = (f"{name} produced a non-polynomial coefficient {c} "
                    f"at {format_word(end)}")
         with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
@@ -545,21 +551,40 @@ class TestNonIntegerEntries:
         with pytest.raises(ValueError, match="is not an integer$"):
             relation_instance("com2", mu=(2,), a=2.5, nu=(1,))
 
+    @pytest.mark.parametrize("kind,params", [
+        ("com1", dict(mu=(2.5,), a=1, b=3, nu=(1,))),
+        ("com2", dict(mu=(2,), a=1, nu=(1.0,))),
+        ("bigmove", dict(alpha=(1.5,), beta=(1,), gamma=(0,))),
+        ("one-more", dict(a=1.5, k=2)),
+    ])
+    def test_relation_instance_weights(self, kind, params):
+        with pytest.raises(ValueError, match="^word entry .* is not an integer$"):
+            relation_instance(kind, **params)
+
 
 class TestRewriteWork:
     """Machine-independent work on three fixed words: straighten calls
-    through this module's binding, and relations built (one per step)."""
+    through this module's binding, relations built (one per step), the
+    order in which they are built, and QPoly objects built."""
 
     CASES = [
-        # name, call, relations built, straighten calls are below
-        ("swap_factors", lambda: swap_factors(((6, 4), (9, 7, 5, 2))), 81, 850),
-        ("rewrite_dominant", lambda: rewrite_dominant(((5, 3, 1), (9, 8))), 92, 400),
-        ("shift_support", lambda: shift_support(((7, 2, 1), (9, 6, 6, 3)), "right"), 37, 360),
+        # rewriter, its arguments, relations built, straighten calls are below
+        ("swap_factors", (((6, 4), (9, 7, 5, 2)),), 81, 850),
+        ("rewrite_dominant", (((5, 3, 1), (9, 8)),), 92, 400),
+        ("shift_support", (((7, 2, 1), (9, 6, 6, 3)), "right"), 37, 360),
     ]
 
-    @pytest.mark.parametrize("name,call,relations,straightens", CASES,
+    # the relation generators' calls, name and arguments, over all three
+    # cases in order; recorded while the next word was picked by a scan
+    STEP_ORDER_SHA256 = "0be8167c80e101e3e8b11b8fb1a5644fa86a63ee8c3a9bb61da57c9ab0c5739e"
+
+    @staticmethod
+    def run(name, args):
+        return getattr(rewrite_module, name)(*args)
+
+    @pytest.mark.parametrize("name,args,relations,straightens", CASES,
                              ids=[c[0] for c in CASES])
-    def test_each_block_straightened_once_per_call(self, monkeypatch, name, call,
+    def test_each_block_straightened_once_per_call(self, monkeypatch, name, args,
                                                    relations, straightens):
         counts = {"straighten": 0, "relations": 0}
 
@@ -574,10 +599,61 @@ class TestRewriteWork:
         for gen in ("_strip_lift", "_bigmove_relation"):
             monkeypatch.setattr(rewrite_module, gen,
                                 counting(getattr(rewrite_module, gen), "relations"))
-        assert not call().is_zero()
+        assert not self.run(name, args).is_zero()
         assert counts["relations"] == relations
         # 808, 369 and 340: one straighten per distinct block per call
         assert counts["straighten"] < straightens
+
+    def test_step_order(self, monkeypatch):
+        calls = []
+
+        def recording(gen):
+            fn = getattr(rewrite_module, gen)
+
+            def wrapped(*args):
+                calls.append(f"{gen}{args!r}")
+                return fn(*args)
+            return wrapped
+
+        for gen in ("_strip_lift", "_bigmove_relation"):
+            monkeypatch.setattr(rewrite_module, gen, recording(gen))
+        for name, args, _, _ in self.CASES:
+            self.run(name, args)
+        assert len(calls) == 81 + 92 + 37
+        assert hashlib.sha256("\n".join(calls).encode()).hexdigest() == \
+            self.STEP_ORDER_SHA256
+
+    def test_qpoly_objects_per_output_term(self):
+        # counted in a child interpreter: a QPoly.__new__ patched on the
+        # class cannot be taken off again without breaking QPoly(...)
+        script = f"""
+import json
+import hlvertex.rewrite as rw
+from hlvertex.coeffs import QPoly
+from hlvertex.memo import clear_caches
+
+built = 0
+
+def counting_new(cls, *args):
+    global built
+    built += 1
+    return object.__new__(cls)
+
+QPoly.__new__ = counting_new
+out = []
+for name, args in {[(name, args) for name, args, _, _ in self.CASES]!r}:
+    clear_caches()
+    built = 0
+    terms = len(getattr(rw, name)(*args).terms())
+    out.append((name, built, terms))
+print(json.dumps(out))
+"""
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=source_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        for name, built, terms in json.loads(proc.stdout):
+            # 335, 142 and 151 output terms
+            assert terms > 100 and built <= terms + 16, (name, built, terms)
 
 
 GOLDEN_REWRITE_SHA256 = "ac103a8b4f904576b0c572c1324431c6db92308be96cabe8eb159064cb544e6e"
@@ -607,3 +683,41 @@ class TestRewriteGolden:
                 cases += 1
         assert cases == 4624
         assert h.hexdigest() == GOLDEN_REWRITE_SHA256
+
+
+GOLDEN_BENCH_REWRITE_SHA256 = "1bea16bab6392caecdb0f91a4b09db1c4d9534ab943cb02e13b4429abe2fec5a"
+
+
+class TestRewriteBenchGolden:
+    """Every rewriter that accepts each word of a seeded grid at the
+    rewrite bench's scale: eight words for each pair of factor lengths
+    1-4, entries 0-9, keeping rewrite_dominant's cost score (gap times
+    total length, as the bench bands it) at most 27; one name, word and
+    JSON output line per case, recorded while the eliminations ran on
+    QPoly coefficients."""
+
+    def test_rewriter_digest(self):
+        rng = random.Random(3)
+
+        def block(n):
+            return tuple(sorted((rng.randint(0, 9) for _ in range(n)), reverse=True))
+
+        h = hashlib.sha256()
+        cases = 0
+        for p, r in itertools.product(range(1, 5), repeat=2):
+            for _ in range(8):
+                word = (block(p), block(r))
+                while max(0, word[1][0] - word[0][-1]) * (p + r) > 27:
+                    word = (block(p), block(r))
+                runs = [("rewrite_dominant", rewrite_dominant),
+                        ("swap_factors", swap_factors)]
+                if p != r:
+                    side = "left" if p > r else "right"
+                    runs.append((f"shift_support_{side}",
+                                 lambda w, side=side: shift_support(w, side)))
+                for name, fn in runs:
+                    out = json.dumps(fn(word).to_json(), sort_keys=True)
+                    h.update(f"{name}\t{format_word(word)}\t{out}\n".encode())
+                    cases += 1
+        assert cases == 352
+        assert h.hexdigest() == GOLDEN_BENCH_REWRITE_SHA256
