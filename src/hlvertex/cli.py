@@ -145,10 +145,7 @@ def cmd_two_factor(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    word = parse_word(args.word)
-    tau = parse_weight(args.on_schur) if args.on_schur else ()
-    f = schur(trim_zeros(tau)) if tau else sf_one()
-    out = apply_H_word(word, f)
+    out = apply_H_word(parse_word(args.word), schur(parse_weight(args.on_schur)))
     _emit(args, str(out), out.to_json())
     return 0
 

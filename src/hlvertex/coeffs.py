@@ -36,6 +36,13 @@ class QPoly:
         self._c = c
         self._hash = None
 
+    @classmethod
+    def _raw(cls, c: dict) -> "QPoly":
+        """A QPoly over c, int exponents to nonzero ints, taken as is."""
+        out = cls.__new__(cls)
+        out._c, out._hash = c, None
+        return out
+
     # -- constructors -------------------------------------------------
 
     @classmethod
@@ -105,18 +112,12 @@ class QPoly:
                 c[e] = w
             elif e in c:
                 del c[e]
-        out = QPoly.__new__(QPoly)
-        out._c = c
-        out._hash = None
-        return out
+        return QPoly._raw(c)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = QPoly.__new__(QPoly)
-        out._c = {e: -v for e, v in self._c.items()}
-        out._hash = None
-        return out
+        return QPoly._raw({e: -v for e, v in self._c.items()})
 
     def __sub__(self, other):
         if not isinstance(other, (int, QPoly)):
@@ -130,10 +131,7 @@ class QPoly:
         if isinstance(other, int):
             if other == 1:
                 return self
-            out = QPoly.__new__(QPoly)
-            out._c = {} if other == 0 else {e: v * other for e, v in self._c.items()}
-            out._hash = None
-            return out
+            return QPoly._raw({} if other == 0 else {e: v * other for e, v in self._c.items()})
         if not isinstance(other, QPoly):
             return NotImplemented
         c = {}
@@ -145,10 +143,7 @@ class QPoly:
                     c[e] = w
                 elif e in c:
                     del c[e]
-        out = QPoly.__new__(QPoly)
-        out._c = c
-        out._hash = None
-        return out
+        return QPoly._raw(c)
 
     __rmul__ = __mul__
 
@@ -168,7 +163,7 @@ class QPoly:
         """Multiply by q**e."""
         if e == 0 or not self._c:
             return self
-        return QPoly({k + e: v for k, v in self._c.items()})
+        return QPoly._raw({k + e: v for k, v in self._c.items()})
 
     def subs_qpower(self, k: int) -> "QPoly":
         """Substitute q -> q**k (k >= 1)."""
@@ -176,7 +171,7 @@ class QPoly:
             raise ValueError("power substitution needs k >= 1")
         if k == 1:
             return self
-        return QPoly({e * k: v for e, v in self._c.items()})
+        return QPoly._raw({e * k: v for e, v in self._c.items()})
 
     def evaluate(self, x):
         """Exact value, a Fraction, at a rational value of q."""
@@ -315,7 +310,7 @@ def _exact_div(a: QPoly, g: QPoly) -> QPoly:
                 a[shift + i] -= f * b[i]
     if any(a):
         raise ArithmeticError("inexact polynomial division")
-    return QPoly(quot)
+    return QPoly._raw(quot)
 
 
 class QRat:
@@ -342,8 +337,8 @@ class QRat:
             if b.leading_coeff() < 0:
                 cg = -cg
             if cg != 1:
-                a = QPoly({e: v // cg for e, v in a._c.items()})
-                b = QPoly({e: v // cg for e, v in b._c.items()})
+                a = QPoly._raw({e: v // cg for e, v in a._c.items()})
+                b = QPoly._raw({e: v // cg for e, v in b._c.items()})
             self._num = a.shifted(vn - vd)
             self._den = b
         self._hash = None

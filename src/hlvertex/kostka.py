@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import itertools
 
-from .coeffs import QPoly
+from .coeffs import QPoly, _add_slot
 from .memo import memo
 from .vertexop import _ONE, _act
 from .weights import (
+    _as_word,
+    _entry,
     is_dominant,
     is_partition,
     pad_zeros,
@@ -34,7 +36,7 @@ _MAX_WALK_NODES = 100_000
 def roots_set(eta) -> tuple:
     """Strictly upper block-triangular positions (1-indexed pairs) for
     diagonal block sizes eta."""
-    eta = tuple(eta)
+    eta = tuple(map(_entry, eta))
     if any(e < 1 for e in eta):
         raise ValueError("block sizes must be positive")
     n = sum(eta)
@@ -57,7 +59,7 @@ def kostant_series(eta, d) -> QPoly:
     nonzero total) outright and caps what a position may send on.  The
     maps are counted, not visited, by folding _advance over the blocks.
     """
-    eta, d = tuple(eta), tuple(d)
+    eta, d = tuple(map(_entry, eta)), tuple(map(_entry, d))
     if len(d) != sum(eta):
         raise ValueError("weight length must match the shape")
     prefix = tuple(itertools.accumulate(d))
@@ -83,9 +85,7 @@ def _advance(frontier, d_block, prefix_block) -> dict:
         nxt: dict = {}
         for (earlier, own), series in frontier.items():
             for (state, taken), ways in _moves(earlier, own, dj, cap, k == last).items():
-                acc = nxt.setdefault(state, {})
-                for e, c in series.items():
-                    acc[e + taken] = acc.get(e + taken, 0) + ways * c
+                _add_slot(nxt.setdefault(state, {}), series.items(), ways, taken)
         frontier = nxt
     return frontier
 
@@ -124,8 +124,7 @@ def _moves(earlier, own, dj, cap, closes) -> dict:
 
 
 def _validate_key(lam, gamma):
-    lam = tuple(lam)
-    gamma = tuple(tuple(b) for b in gamma)
+    lam, gamma = tuple(map(_entry, lam)), _as_word(gamma)
     if not gamma or () in gamma:
         which = f"block {gamma.index(()) + 1} of {gamma}" if gamma else "the key"
         raise ValueError(f"{which} is empty")
@@ -183,9 +182,7 @@ def _kostka_kostant(lam, gamma, eta) -> QPoly:
             frontier = _advance(frontier, d[start:i], prefix[start:i])
             start, floor = i, prefix[i - 1]
         if i == n:
-            sign = -1 if inversions % 2 else 1
-            for e, c in frontier[(), ()].items():
-                coeffs[e] = coeffs.get(e, 0) + sign * c
+            _add_slot(coeffs, frontier[(), ()].items(), -1 if inversions % 2 else 1)
             return
         partial = prefix[i - 1] if i else 0
         smaller = 0
@@ -256,7 +253,7 @@ def kostka(lam, gamma, method: str = "both") -> QPoly:
 def kostka_foulkes(lam, mu) -> QPoly:
     """The classical one-column-blocks case: mu is split into singleton
     blocks and the shape is all ones."""
-    lam, mu = trim_zeros(lam), trim_zeros(mu)
+    lam, mu = trim_zeros(map(_entry, lam)), trim_zeros(map(_entry, mu))
     if not is_partition(lam) or not is_partition(mu):
         raise ValueError("kostka_foulkes expects partitions")
     if sum(lam) != sum(mu):
@@ -295,9 +292,16 @@ def kostka_table(eta, degree_bound: int, method: str = "both") -> list:
     With method 'both' every key is computed by the two engines and any
     disagreement raises.  Rows are dicts sorted by (degree, lam, gamma);
     negative coefficients are legal but unexpected for these keys and are
-    logged as warnings.
+    logged as warnings.  An unknown method, an empty eta, a part of eta
+    below 1 or a negative degree_bound is refused up front.
     """
-    eta = tuple(eta)
+    eta = tuple(map(_entry, eta))
+    if method not in ("kostant", "vertex", "both"):
+        raise ValueError(f"unknown method {method!r}")
+    if not eta or any(e < 1 for e in eta):
+        raise ValueError(f"eta parts must be positive, got {eta!r}")
+    if _entry(degree_bound) < 0:
+        raise ValueError(f"degree_bound must be nonnegative, got {degree_bound}")
     n = sum(eta)
     rows = []
     for d in range(1, degree_bound + 1):
@@ -325,8 +329,7 @@ def check_col_skew(alpha, gamma, k: int) -> bool:
     vertical co-strips nu of gamma with |gamma| - |nu| = k equals the sum
     of K(lam, gamma) over vertical strips lam over alpha with
     |lam| - |alpha| = k.  Evaluated exactly through the Kostant engine."""
-    alpha = tuple(alpha)
-    gamma = tuple(tuple(b) for b in gamma)
+    alpha, gamma = tuple(map(_entry, alpha)), _as_word(gamma)
     flat = tuple(x for b in gamma for x in b)
     if sum(flat) - sum(alpha) != k:
         raise ValueError("need |gamma| - |alpha| == k")

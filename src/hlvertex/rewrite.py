@@ -31,13 +31,13 @@ every distinct block once per call.  The elimination runs on Z[q] slots
 
 from __future__ import annotations
 
-import operator
-
 from .coeffs import QPoly, QRat, _add_slot, _add_term
 from .memo import memo
 from .symfunc import SymFunc, format_linear, schur
 from .vertexop import apply_H_sum, apply_H_word
 from .weights import (
+    _as_word,
+    _entry,
     is_dominant,
     partitions_of,
     straighten,
@@ -47,17 +47,6 @@ from .weights import (
 
 _MAX_STEPS = 100000
 _MAX_KERNEL_CELLS = 16  # l * k of a swap's dual Cauchy kernel; (5, 5) has 1475856 terms
-
-
-def _entry(x) -> int:
-    try:
-        return operator.index(x)
-    except TypeError:
-        raise ValueError(f"word entry {x!r} is not an integer") from None
-
-
-def _as_word(word) -> tuple:
-    return tuple(tuple(map(_entry, block)) for block in word)
 
 
 def _coeff(c) -> QPoly:
@@ -312,8 +301,11 @@ def relation_instance(kind: str, **params) -> OpSum:
     operator; certify with operators_equal against the empty sum.
     Parameters: com1 (mu, a, b, nu), com2 and move (mu, a, nu), bigmove
     (alpha, beta, gamma) of any three lengths, same-width (a, k, n), one-more
-    and quad (a, k).  move is bigmove with the one-entry middle block (a,)."""
+    and quad (a, k).  move is bigmove with the one-entry middle block (a,).
+    Every parameter is checked once here, so the generated words are not."""
     kind = kind.lower()
+    params = {key: _entry(v) if key in ("a", "b", "k", "n") else tuple(map(_entry, v))
+              for key, v in params.items()}
     if kind == "com1":
         raw = _strip_lift(params["mu"], _com1_row(params["a"], params["b"]), params["nu"])
     elif kind == "com2":
@@ -326,7 +318,7 @@ def relation_instance(kind: str, **params) -> OpSum:
         raw = _FAMILIES[kind](**params)
     else:
         raise ValueError(f"unknown relation kind {kind!r}")
-    return _from_slots(_normalize([(_as_word(w), e, n) for w, e, n in raw], {}))
+    return _from_slots(_normalize(raw, {}))
 
 
 # -- evaluation (the independent certificate) ------------------------------
@@ -342,7 +334,9 @@ def evaluate(opsum: OpSum, f: SymFunc) -> SymFunc:
 
 def operators_equal(a: OpSum, b: OpSum, max_degree: int) -> bool:
     """Evaluation certificate: equal action on every Schur function of
-    degree at most max_degree."""
+    degree at most max_degree; a negative bound is refused."""
+    if _entry(max_degree) < 0:
+        raise ValueError(f"max_degree must be nonnegative, got {max_degree}")
     diff = a - b
     if diff.is_zero():
         return True

@@ -17,7 +17,8 @@ from types import MappingProxyType
 
 from .coeffs import QPoly, QRat, _add_term, _as_qrat
 from .memo import memo
-from .weights import is_dominant, is_partition, partitions_of, trim_zeros, vertical_strip_shrink
+from .weights import (_entry, is_dominant, is_partition, partitions_of, trim_zeros,
+                      vertical_strip_shrink)
 
 SCHUR = "schur"
 POWERSUM = "powersum"
@@ -355,27 +356,27 @@ def format_linear(pairs) -> str:
 
 
 def schur(idx) -> SymFunc:
-    idx = trim_zeros(idx)
+    idx = trim_zeros(map(_entry, idx))
     if not is_dominant(idx) or (idx and idx[-1] < 0):
         raise ValueError(f"{idx} is not a partition")
     return SymFunc(SCHUR, {idx: QRat.one()})
 
 
 def powersum(idx) -> SymFunc:
-    idx = trim_zeros(idx)
+    idx = trim_zeros(map(_entry, idx))
     if not is_dominant(idx) or (idx and idx[-1] < 1):
         raise ValueError(f"{idx} is not a partition")
     return SymFunc(POWERSUM, {idx: QRat.one()})
 
 
 def homogeneous(k: int) -> SymFunc:
-    if k < 0:
+    if _entry(k) < 0:
         raise ValueError("negative degree")
     return schur((k,) if k else ())
 
 
 def elementary(k: int) -> SymFunc:
-    if k < 0:
+    if _entry(k) < 0:
         raise ValueError("negative degree")
     return schur((1,) * k)
 
@@ -406,15 +407,11 @@ def convert(f: SymFunc, target: str) -> SymFunc:
     target = _norm_basis(target)
     if f.basis == target:
         return f
+    table = _schur_to_p if target == POWERSUM else _p_to_schur
     out: dict = {}
-    if target == POWERSUM:
-        for lam, c in f._terms.items():
-            for mu, r in _schur_to_p(lam).items():
-                _add_term(out, mu, c * r)
-    else:
-        for mu, c in f._terms.items():
-            for lam, chi in _p_to_schur(mu).items():
-                _add_term(out, lam, c * chi)
+    for idx, c in f._terms.items():
+        for key, r in table(idx).items():
+            _add_term(out, key, c * r)
     return SymFunc(target, out)
 
 
@@ -473,17 +470,14 @@ def skew(f: SymFunc, g: SymFunc) -> SymFunc:
         for lam, cg in gp._terms.items():
             target = list(lam)
             factor = 1
-            ok = True
             for part in mu:
                 m = target.count(part)
                 if m == 0:
-                    ok = False
                     break
                 factor *= part * m
                 target.remove(part)
-            if not ok:
-                continue
-            _add_term(out, tuple(sorted(target, reverse=True)), cf * cg * factor)
+            else:
+                _add_term(out, tuple(sorted(target, reverse=True)), cf * cg * factor)
     return SymFunc(POWERSUM, out)
 
 
@@ -562,7 +556,9 @@ def plethysm_substitute(f: SymFunc, subst: PowerSumSubst) -> SymFunc:
 def dual_basis_pair_check(subst: PowerSumSubst, max_degree: int) -> bool:
     """Check that Schur functions twisted by the substitution pair to a
     Kronecker delta against Schur functions twisted by its inverse, for
-    all index pairs up to the degree bound."""
+    all index pairs up to the degree bound; a negative bound is refused."""
+    if _entry(max_degree) < 0:
+        raise ValueError(f"max_degree must be nonnegative, got {max_degree}")
     inv = subst.inverse()
     for d1 in range(max_degree + 1):
         for mu in partitions_of(d1):

@@ -35,7 +35,7 @@ from .symfunc import (
     plethysm_substitute,
     schur_product_expansion,  # noqa: F401  not called; perfbench/tests wraps it here
 )
-from .weights import is_dominant, straighten, trim_zeros
+from .weights import _as_word, _entry, is_dominant, straighten, trim_zeros
 
 
 def _frozen(acc: dict) -> MappingProxyType:
@@ -121,10 +121,10 @@ def _act(v, vec) -> MappingProxyType:
 def apply_H(nu, f: SymFunc) -> SymFunc:
     """Apply the vertex operator indexed by the dominant weight nu (length
     0: the identity) to f; see apply_H_sum for where QRat is built."""
-    nu = tuple(nu)
+    nu = tuple(map(_entry, nu))
     if not is_dominant(nu):
         raise ValueError(f"{nu} is not dominant; use apply_H_any")
-    return apply_H_word((nu,), f)
+    return apply_H_sum((((nu,), QPoly.one()),), f)
 
 
 def apply_H_any(v, f: SymFunc) -> SymFunc:
@@ -136,7 +136,7 @@ def apply_H_any(v, f: SymFunc) -> SymFunc:
 def apply_H_word(blocks, f: SymFunc) -> SymFunc:
     """Apply a composite of vertex operators indexed by arbitrary integer
     weights, rightmost block first."""
-    return apply_H_sum(((blocks, QPoly.one()),), f)
+    return apply_H_sum(((_as_word(blocks), QPoly.one()),), f)
 
 
 def apply_H_sum(terms, f: SymFunc) -> SymFunc:

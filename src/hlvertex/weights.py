@@ -2,14 +2,28 @@
 
 Weights are plain tuples of ints.  The empty tuple is a legal weight of
 length 0 (it indexes the identity operator).  All functions are pure.
+This module owns the library's one integer-weight check, _entry and
+_as_word, which every public entry calls on the weights it is given; the
+other helpers here take trusted weights and check nothing.
 """
 
 from __future__ import annotations
 
 import itertools
-from operator import add, gt, sub
+from operator import add, gt, index, sub
 
 from .memo import memo
+
+
+def _entry(x) -> int:
+    try:
+        return index(x)
+    except TypeError:
+        raise ValueError(f"word entry {x!r} is not an integer") from None
+
+
+def _as_word(word) -> tuple:
+    return tuple(tuple(map(_entry, block)) for block in word)
 
 
 def rho(k: int) -> tuple:

@@ -1,0 +1,108 @@
+"""Every public entry refuses a non-integer weight entry and a negative
+degree bound with ValueError, so no check passes after checking nothing."""
+
+import re
+
+import pytest
+
+from hlvertex import (
+    apply_B,
+    apply_H,
+    apply_H_any,
+    apply_H_word,
+    basis_element,
+    check_col_skew,
+    dual_basis_pair_check,
+    elementary,
+    homogeneous,
+    kostant_series,
+    kostka_foulkes,
+    kostka_kostant,
+    kostka_table,
+    kostka_vertex,
+    one,
+    operators_equal,
+    powersum,
+    relation_instance,
+    roots_set,
+    schur,
+    X_TIMES_QM1,
+)
+from hlvertex.kostka import kostka
+from hlvertex.rewrite import OpSum, is_zero_operator
+
+# entry point -> a call with the bad entry x in a weight the parent let through
+ENTRIES = {
+    "schur": lambda x: schur((2, x)),
+    "powersum": lambda x: powersum((x,)),
+    "elementary": lambda x: elementary(x),
+    "homogeneous": lambda x: homogeneous(x),
+    "basis_element": lambda x: basis_element("schur", (x,)),
+    "apply_H": lambda x: apply_H((x,), one()),
+    "apply_H_any": lambda x: apply_H_any((0, x), one()),
+    "apply_H_word": lambda x: apply_H_word(((1,), (x,)), one()),
+    "apply_B": lambda x: apply_B((x,), one()),
+    "kostka": lambda x: kostka((x,), ((1,),)),
+    "kostka_kostant": lambda x: kostka_kostant((1,), ((x,),)),
+    "kostka_vertex": lambda x: kostka_vertex((x,), ((1,),)),
+    "kostka_foulkes": lambda x: kostka_foulkes((x,), (x,)),
+    "check_col_skew": lambda x: check_col_skew((x,), ((1,),), 0),
+    "kostant_series": lambda x: kostant_series((1, 1), (x, 0)),
+    "roots_set": lambda x: roots_set((1, x)),
+    "kostka_table": lambda x: kostka_table((x,), 2),
+    "relation_instance": lambda x: relation_instance("same-width", a=1, k=1, n=x),
+}
+
+
+class TestNonIntegerEntries:
+    @pytest.mark.parametrize("entry", [1.5, "3", None], ids=["float", "str", "none"])
+    @pytest.mark.parametrize("name", sorted(ENTRIES))
+    def test_refused_with_the_entry_named(self, name, entry):
+        message = f"^word entry {re.escape(repr(entry))} is not an integer$"
+        with pytest.raises(ValueError, match=message):
+            ENTRIES[name](entry)
+
+    def test_relation_instance_multiplicity(self):
+        with pytest.raises(ValueError, match=r"^word entry 1\.5 is not an integer$"):
+            relation_instance("same-width", a=1, k=1, n=1.5)
+
+    def test_kostka_foulkes(self):
+        with pytest.raises(ValueError, match=r"^word entry 1\.5 is not an integer$"):
+            kostka_foulkes((1.5,), (1.5,))
+
+
+class TestNegativeDegree:
+    MESSAGE = "^max_degree must be nonnegative, got -1$"
+
+    def test_operators_equal(self):
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            operators_equal(OpSum(), OpSum(), -1)
+        assert operators_equal(OpSum(), OpSum(), 0)
+
+    def test_is_zero_operator(self):
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            is_zero_operator(OpSum({((1,),): 1}), -1)
+        # degree 0 still evaluates: H_(0) is the identity on 1
+        assert not is_zero_operator(OpSum({((0,),): 1}), 0)
+
+    def test_dual_basis_pair_check(self):
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            dual_basis_pair_check(X_TIMES_QM1, -1)
+        assert dual_basis_pair_check(X_TIMES_QM1, 0)
+
+
+class TestKostkaTableArguments:
+    def test_unknown_method(self):
+        with pytest.raises(ValueError, match="^unknown method 'nope'$"):
+            kostka_table((1,), 0, method="nope")
+
+    @pytest.mark.parametrize("eta", [(), (0,), (2, 0), (1, -1)])
+    def test_empty_or_nonpositive_eta(self, eta):
+        message = f"^eta parts must be positive, got {re.escape(repr(eta))}$"
+        with pytest.raises(ValueError, match=message):
+            kostka_table(eta, 2)
+
+    def test_negative_degree_bound(self):
+        with pytest.raises(ValueError, match="^degree_bound must be nonnegative, got -1$"):
+            kostka_table((1,), -1)
+        assert kostka_table((1,), 0) == []
