@@ -210,7 +210,11 @@ def kostka_vertex(lam, gamma) -> QPoly:
     Keys are first shifted by a constant vector so every block is a
     partition; the polynomial is invariant under that shift.
     """
-    lam, gamma, eta = _validate_key(lam, gamma)
+    return _kostka_vertex(*_validate_key(lam, gamma))
+
+
+def _kostka_vertex(lam, gamma, eta) -> QPoly:
+    """kostka_vertex on a key from _validate_key, like _kostka_kostant."""
     flat = tuple(x for b in gamma for x in b)
     if sum(lam) != sum(flat):
         return QPoly.zero()
@@ -233,15 +237,16 @@ def _word_on_one(gamma):
 
 
 def kostka(lam, gamma, method: str = "both") -> QPoly:
-    """Dispatch on engine; method 'both' computes the two independently
-    and raises on disagreement."""
+    """Dispatch on engine; method 'both' validates the key once, computes
+    the two independently and raises on disagreement."""
     if method == "kostant":
         return kostka_kostant(lam, gamma)
     if method == "vertex":
         return kostka_vertex(lam, gamma)
     if method == "both":
-        a = kostka_kostant(lam, gamma)
-        b = kostka_vertex(lam, gamma)
+        key = _validate_key(lam, gamma)
+        a = _kostka_kostant(*key)
+        b = _kostka_vertex(*key)
         if a != b:
             raise RuntimeError(
                 f"engine disagreement at lam={lam} gamma={gamma}: "

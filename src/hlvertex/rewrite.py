@@ -280,9 +280,14 @@ def _bigmove_relation(alpha, beta, gamma) -> list:
     return raw
 
 
-# Identities of rectangular operators H_{(a^k)}, as (word, exponent, int)
-# terms of lhs - rhs
-_FAMILIES = {
+# Each relation kind as its generator of raw (word, exponent, int) terms,
+# whose argument names are the kind's parameters
+_RELATIONS = {
+    "com1": lambda mu, a, b, nu: _strip_lift(mu, _com1_row(a, b), nu),
+    "com2": lambda mu, a, nu: _strip_lift(mu, _com2_row(a), nu),
+    "move": lambda mu, a, nu: _bigmove_relation(mu, (a,), nu),
+    "bigmove": _bigmove_relation,
+    # identities of rectangular operators H_{(a^k)}, as lhs - rhs:
     # H_{(a^n)} H_{(a^k)} = H_{(a^k)} H_{(a^n)}
     "same-width": lambda a, k, n: [(((a,) * n, (a,) * k), 0, 1),
                                    (((a,) * k, (a,) * n), 0, -1)],
@@ -302,23 +307,22 @@ def relation_instance(kind: str, **params) -> OpSum:
     Parameters: com1 (mu, a, b, nu), com2 and move (mu, a, nu), bigmove
     (alpha, beta, gamma) of any three lengths, same-width (a, k, n), one-more
     and quad (a, k).  move is bigmove with the one-entry middle block (a,).
+    A missing or extra parameter is refused with ValueError naming it.
     Every parameter is checked once here, so the generated words are not."""
     kind = kind.lower()
+    build = _RELATIONS.get(kind)
+    if build is None:
+        raise ValueError(f"unknown relation kind {kind!r}")
+    names = build.__code__.co_varnames[:build.__code__.co_argcount]
+    for key in names:
+        if key not in params:
+            raise ValueError(f"relation {kind!r} needs parameter {key!r}")
+    for key in params:
+        if key not in names:
+            raise ValueError(f"relation {kind!r} takes no parameter {key!r}")
     params = {key: _entry(v) if key in ("a", "b", "k", "n") else tuple(map(_entry, v))
               for key, v in params.items()}
-    if kind == "com1":
-        raw = _strip_lift(params["mu"], _com1_row(params["a"], params["b"]), params["nu"])
-    elif kind == "com2":
-        raw = _strip_lift(params["mu"], _com2_row(params["a"]), params["nu"])
-    elif kind == "move":
-        raw = _bigmove_relation(params["mu"], (params["a"],), params["nu"])
-    elif kind == "bigmove":
-        raw = _bigmove_relation(params["alpha"], params["beta"], params["gamma"])
-    elif kind in _FAMILIES:
-        raw = _FAMILIES[kind](**params)
-    else:
-        raise ValueError(f"unknown relation kind {kind!r}")
-    return _from_slots(_normalize(raw, {}))
+    return _from_slots(_normalize(build(**params), {}))
 
 
 # -- evaluation (the independent certificate) ------------------------------

@@ -12,11 +12,12 @@ on Schur functions over Z[q], one row of nu at a time: H_nu = sum over
 j >= 0 of q^j S_{nu_1+j} H_{nu[1:]} h_j-perp, where h_j-perp removes a
 horizontal strip of size j and Bernstein's S_a s_rho = s_{(a, rho)} is a
 signed Schur function after straightening (see _H_schur).  Every word
-and every Z[q]-combination of words runs through one Z[q] core, _act, on
-vectors {kappa: ((exponent, coefficient), ...)}; apply_H_sum splits its
-input by denominator once and builds QRat only for its output.  Jing's
-operators are obtained by conjugating with the plethystic twist
-X -> X(1-q).
+and every Z[q]-combination of words runs through one Z[q] core,
+_act_into, which adds scale * H_nu(vec) into a caller's slot dict;
+apply_H_sum folds each word's signs and coefficient into that scale and
+builds QRat only for its output, and _act freezes an image for callers
+that keep it.  Jing's operators are obtained by conjugating with the
+plethystic twist X -> X(1-q).
 """
 
 from __future__ import annotations
@@ -44,9 +45,10 @@ def _frozen(acc: dict) -> MappingProxyType:
     return MappingProxyType({idx: terms for idx, terms in out.items() if terms})
 
 
-# Z[q] vectors of 0 and of s_() = 1
+# the Z[q] polynomial 1, and the Z[q] vectors of 0 and of s_() = 1
+_UNIT = ((0, 1),)
 _ZERO = MappingProxyType({})
-_ONE = MappingProxyType({(): ((0, 1),)})
+_ONE = MappingProxyType({(): _UNIT})
 
 
 def _strips_below(sigma):
@@ -87,7 +89,7 @@ def _H_schur(nu, kappa) -> MappingProxyType:
     whose sub-kernels every block with the tail nu[1:] shares.  This
     holds for negative entries of nu too."""
     if not nu:
-        return MappingProxyType({kappa: ((0, 1),)})
+        return MappingProxyType({kappa: _UNIT})
     acc: dict = {}
     size = sum(kappa)
     for tau in _strips_below(kappa):
@@ -99,22 +101,31 @@ def _H_schur(nu, kappa) -> MappingProxyType:
     return _frozen(acc)
 
 
+def _act_into(nu, vec, out: dict, scale) -> None:
+    """out += scale * H_nu(vec) on Z[q] slots, for a dominant nu: vec as
+    (kappa, (exponent, coefficient) pairs) items, scale as (exponent, int)
+    pairs and out as {kappa: {exponent: int}}, where zeros are left."""
+    for kappa, poly in vec:
+        mult = [(s + t, w * c) for s, w in poly if w for t, c in scale]
+        for idx, terms in _H_schur(nu, kappa).items():
+            slot = out.setdefault(idx, {})
+            for shift, m in mult:
+                _add_slot(slot, terms, m, shift)
+
+
 def _act(v, vec) -> MappingProxyType:
     """The operator indexed by the integer weight v on a Z[q] vector
     {kappa: ((exponent, coefficient), ...)}: v is straightened (sign 0
-    gives the zero vector, the empty weight vec itself) and the kernel
-    extended linearly.  Any other result is read-only, zeros dropped."""
+    gives the zero vector, the empty weight vec itself) and _act_into
+    extends the kernel linearly.  Any other result is a read-only copy,
+    zeros dropped, as kept by kostka's memoized words."""
     sign, nu = straighten(v)
     if not sign:
         return _ZERO
     if not nu:
         return vec
     out: dict = {}
-    for kappa, poly in vec.items():
-        for idx, terms in _H_schur(nu, kappa).items():
-            slot = out.setdefault(idx, {})
-            for s, w in poly:
-                _add_slot(slot, terms, sign * w, s)
+    _act_into(nu, vec.items(), out, ((0, sign),))
     return _frozen(out)
 
 
@@ -141,28 +152,42 @@ def apply_H_word(blocks, f: SymFunc) -> SymFunc:
 
 def apply_H_sum(terms, f: SymFunc) -> SymFunc:
     """sum of c * word(f) over the (word, QPoly c) pairs of terms, in the
-    Schur basis.  The operators are Z[q]-linear, so f is split once into
-    Z[q] vectors by denominator; every word runs over each vector and the
-    results accumulate in one Z[q] dict per denominator.  QRat values are
-    built only at the end, one per denominator and Schur index."""
+    Schur basis.  f is split once into Z[q] vectors by denominator, and
+    c times the signs of a word's straightened blocks is one scale.  On
+    a single s_kappa the first image is the memoized kernel itself, middle
+    images are plain slot dicts, and the leftmost block adds scale times
+    its image straight into one Z[q] dict per denominator.  QRat is built
+    once per denominator and Schur index whose slot does not cancel."""
+    words = []  # (dominant blocks rightmost first, scale)
+    for word, c in terms:
+        sign, blocks = 1, []
+        for s, nu in map(straighten, reversed(word)):
+            if not s:
+                break
+            sign *= s
+            blocks.append(nu)
+        else:  # the empty word is the identity H_()
+            words.append((blocks or [()], tuple((e, sign * v) for e, v in c._c.items())))
     parts: dict = {}  # denominator -> Z[q] vector
     for kappa, c in convert(f, SCHUR)._terms.items():
         parts.setdefault(c.den, {})[kappa] = tuple(c.num._c.items())
     out: dict = {}
     for den, vec in parts.items():
+        unit = next(iter(vec)) if len(vec) == 1 and _UNIT in vec.values() else None
         acc: dict = {}
-        for word, c in terms:
-            image = vec
-            for block in reversed(tuple(word)):
-                if not image:
-                    break
-                image = _act(block, image)
-            for idx, poly in image.items():
-                slot = acc.setdefault(idx, {})
-                for s, w in c._c.items():
-                    _add_slot(slot, poly, w, s)
+        for blocks, scale in words:
+            image = vec.items()
+            if unit is not None and len(blocks) > 1:
+                image = _H_schur(blocks[0], unit).items()
+                blocks = blocks[1:]
+            for nu in blocks[:-1]:
+                mid: dict = {}
+                _act_into(nu, image, mid, _UNIT)
+                image = [(kappa, slot.items()) for kappa, slot in mid.items()]
+            _act_into(blocks[-1], image, acc, scale)
         for idx, slot in acc.items():
-            _add_term(out, idx, QRat(QPoly(slot), den))
+            if any(slot.values()):
+                _add_term(out, idx, QRat(QPoly(slot), den))
     return SymFunc(SCHUR, out)
 
 

@@ -106,3 +106,45 @@ class TestKostkaTableArguments:
         with pytest.raises(ValueError, match="^degree_bound must be nonnegative, got -1$"):
             kostka_table((1,), -1)
         assert kostka_table((1,), 0) == []
+
+
+class TestRelationParameters:
+    """Each relation kind takes exactly its named parameters."""
+
+    PARAMS = {
+        "com1": dict(mu=(2,), a=1, b=3, nu=(1,)),
+        "com2": dict(mu=(2,), a=1, nu=(1,)),
+        "move": dict(mu=(2,), a=1, nu=(1,)),
+        "bigmove": dict(alpha=(2,), beta=(1,), gamma=(1,)),
+        "same-width": dict(a=1, k=1, n=2),
+        "one-more": dict(a=1, k=2),
+        "quad": dict(a=1, k=2),
+    }
+    EXTRA = {"com1": "alpha", "com2": "b", "move": "b", "bigmove": "mu",
+             "same-width": "b", "one-more": "n", "quad": "n"}
+
+    @pytest.mark.parametrize("kind", sorted(PARAMS))
+    def test_missing_parameter_is_named(self, kind):
+        for name in self.PARAMS[kind]:
+            params = {k: v for k, v in self.PARAMS[kind].items() if k != name}
+            message = f"^relation {kind!r} needs parameter {name!r}$"
+            with pytest.raises(ValueError, match=message):
+                relation_instance(kind, **params)
+
+    @pytest.mark.parametrize("kind", sorted(PARAMS))
+    def test_extra_parameter_is_named(self, kind):
+        extra = self.EXTRA[kind]
+        params = dict(self.PARAMS[kind], **{extra: 7})
+        message = f"^relation {kind!r} takes no parameter {extra!r}$"
+        with pytest.raises(ValueError, match=message):
+            relation_instance(kind, **params)
+
+    @pytest.mark.parametrize("kind", sorted(PARAMS))
+    def test_exact_parameters_build_a_zero_operator(self, kind):
+        rel = relation_instance(kind, **self.PARAMS[kind])
+        assert not rel.is_zero()
+        assert is_zero_operator(rel, 2)
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="^unknown relation kind 'nope'$"):
+            relation_instance("nope", a=1)

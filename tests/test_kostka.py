@@ -291,6 +291,32 @@ class TestEngines:
 
 
 
+class TestValidateOnce:
+    def test_both_validates_each_key_once(self, monkeypatch):
+        calls = []
+        validate = kostka_module._validate_key
+        monkeypatch.setattr(kostka_module, "_validate_key",
+                            lambda lam, gamma: calls.append(lam) or validate(lam, gamma))
+        assert not kostka((2, 1, 0), ((2, 1), (0,)), method="both").is_zero()
+        assert len(calls) == 1
+        for method in ("kostant", "vertex"):
+            calls.clear()
+            kostka((2, 1, 0), ((2, 1), (0,)), method=method)
+            assert len(calls) == 1
+
+    @pytest.mark.parametrize("lam,gamma,message", [
+        ((1,), (), "the key is empty"),
+        ((1, 0), ((1,), ()), r"block 2 of \(\(1,\), \(\)\) is empty"),
+        ((1,), ((1,), (0,)), "lambda must have length 2"),
+        ((0, 1), ((1,), (0,)), r"\(0, 1\) is not dominant"),
+        ((1, 0), ((0, 1),), r"block \(0, 1\) is not dominant"),
+    ])
+    def test_both_keeps_the_messages(self, lam, gamma, message):
+        for method in ("both", "kostant", "vertex"):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                kostka(lam, gamma, method=method)
+
+
 class TestVertexEngineVectors:
     def test_memoized_vectors_are_read_only(self):
         clear_caches()

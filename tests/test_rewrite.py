@@ -11,6 +11,7 @@ import sys
 import pytest
 
 import hlvertex.rewrite as rewrite_module
+import hlvertex.vertexop as vertexop_module
 from hlvertex.coeffs import QPoly, QRat
 from hlvertex.rewrite import (
     OpSum,
@@ -27,8 +28,8 @@ from hlvertex.rewrite import (
     swap_factors,
 )
 from hlvertex.symfunc import SymFunc, one, schur
-from hlvertex.vertexop import apply_F, apply_H_sum, apply_H_word
-from hlvertex.weights import dominant_weights, is_dominant, partitions_of
+from hlvertex.vertexop import apply_F, apply_H, apply_H_sum, apply_H_word
+from hlvertex.weights import dominant_weights, is_dominant, partitions_of, straighten
 from test_cli import source_env
 
 Q = QRat.q()
@@ -155,6 +156,19 @@ def oracle_sum(terms, f):
     return total
 
 
+def blockwise_sum(terms, f):
+    """sum of c * word(f), each block straightened here and applied on its
+    own with apply_H, so that no block sign or coefficient is folded."""
+    total = SymFunc.zero()
+    for word, c in terms:
+        g = f
+        for block in reversed(word):
+            sign, nu = straighten(block)
+            g = apply_H(nu, g).scale(sign) if sign else SymFunc.zero()
+        total = total + g.scale(QRat(c))
+    return total
+
+
 # denominators 1, 1 - q and (1 - q)(1 - q^2) side by side
 MIXED_INPUTS = [
     apply_F(schur((2,)), inverse=True) + schur((1,)),
@@ -219,6 +233,38 @@ class TestEvaluateAgainstTermwiseSum:
         for f in MIXED_INPUTS:
             self.check(terms, f)
             assert not apply_H_sum(terms, f).is_zero()
+
+    # three-block words whose right or middle block straightens with sign
+    # -1: (0, 2) -> -(1, 1), (1, 3) -> -(2, 2), (1, 0, 2) -> -(1, 1, 1)
+    SIGNED_WORDS = [((2, 0, -1), (3, 1), (0, 2)), ((1,), (0, 2), (2,)),
+                    ((2, 1), (1, 3), (0, 2)), ((1, 0, 2), (1,), (1, 1)),
+                    ((1,), (2,), (1, 0, 2))]
+
+    def test_three_block_words_with_signs_and_inverse_q(self):
+        # lone Schur functions take the unit-kernel path, the other inputs not
+        coeffs = [QPoly({-1: 1}), QPoly({-1: -2, 1: 1}), QPoly({0: 3, -2: 1}),
+                  QPoly({2: -1}), QPoly({-1: 1, 0: -1})]
+        terms = list(zip(self.SIGNED_WORDS, coeffs))
+        for f in self.INPUTS + [schur((1,)) + schur((2,)).scale(Q)]:
+            self.check(terms, f)
+            assert apply_H_sum(terms, f) == blockwise_sum(terms, f), f
+            for term in terms:
+                assert apply_H_sum([term], f) == blockwise_sum([term], f), (term, f)
+
+    def test_warm_evaluate_freezes_no_image(self, monkeypatch):
+        # only kernel fills freeze, so a warm evaluation copies nothing
+        rel = relation_instance("com1", mu=(1,), a=1, b=3, nu=(1,))
+        three = [(word, QPoly({-1: 1})) for word in self.SIGNED_WORDS]
+        inputs = [schur((2, 1)), schur((1,)) + schur((2,)).scale(Q)] + MIXED_INPUTS
+        cold = [(evaluate(rel, f), apply_H_sum(three, f)) for f in inputs]
+        frozen = []
+        real = vertexop_module._frozen
+        monkeypatch.setattr(vertexop_module, "_frozen",
+                            lambda acc: frozen.append(acc) or real(acc))
+        warm = [(evaluate(rel, f), apply_H_sum(three, f)) for f in inputs]
+        assert warm == cold
+        assert all(a.is_zero() for a, _ in warm)
+        assert frozen == []
 
 
 class TestIdentityFamilies:
