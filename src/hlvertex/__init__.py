@@ -1,7 +1,7 @@
 """Exact Hall-Littlewood vertex operators, generalized Kostka polynomials,
 and certified rewriting of operator words."""
 
-from .coeffs import QPoly, QRat, is_integral_polynomial, q_power_substitute, specialize
+from .coeffs import QPoly, QRat
 from .kostka import (
     check_col_skew,
     kostant_series,
@@ -15,7 +15,6 @@ from .memo import clear_caches
 from .rewrite import (
     OpSum,
     evaluate,
-    evaluate_word,
     format_word,
     normalize,
     operators_equal,

@@ -96,8 +96,6 @@ def cmd_kostka(args) -> int:
 
 def cmd_table(args) -> int:
     eta = parse_weight(args.eta)
-    if not eta or any(e < 1 for e in eta):
-        raise ValueError(f"eta parts must be positive, got {args.eta!r}")
     if args.max_degree < 1:
         raise ValueError(f"--max-degree must be at least 1, got {args.max_degree}")
     rows = kostka_table(eta, args.max_degree, method=args.method)

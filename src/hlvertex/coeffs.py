@@ -522,20 +522,3 @@ def _as_qrat(x) -> QRat:
     if isinstance(x, (int, QPoly)):
         return QRat(x)
     raise TypeError(f"cannot coerce {type(x).__name__} to QRat")
-
-
-# -- spec-level conveniences -------------------------------------------
-
-
-def q_power_substitute(c: QRat, k: int) -> QRat:
-    return c.subs_qpower(k)
-
-
-def specialize(c: QRat, value):
-    return c.specialize(value)
-
-
-def is_integral_polynomial(c: QRat):
-    """(True, QPoly) when c lies in Z[q], else (False, None)."""
-    p = c.integral_polynomial()
-    return (p is not None), p

@@ -15,7 +15,7 @@ import itertools
 
 from .coeffs import QPoly, _add_slot
 from .memo import memo
-from .vertexop import _ONE, _act
+from .vertexop import _word_on_one
 from .weights import (
     _as_word,
     _entry,
@@ -31,6 +31,8 @@ from .weights import (
 
 # the most nodes the Kostant engine's permutation walk may visit
 _MAX_WALK_NODES = 100_000
+
+_METHODS = ("kostant", "vertex", "both")
 
 
 def roots_set(eta) -> tuple:
@@ -60,6 +62,8 @@ def kostant_series(eta, d) -> QPoly:
     maps are counted, not visited, by folding _advance over the blocks.
     """
     eta, d = tuple(map(_entry, eta)), tuple(map(_entry, d))
+    if any(e < 1 for e in eta):
+        raise ValueError("block sizes must be positive")
     if len(d) != sum(eta):
         raise ValueError("weight length must match the shape")
     prefix = tuple(itertools.accumulate(d))
@@ -229,30 +233,28 @@ def _kostka_vertex(lam, gamma, eta) -> QPoly:
     return QPoly(dict(terms))
 
 
-@memo
-def _word_on_one(gamma):
-    """The word applied to 1 as a read-only Z[q] vector, memoized on every
-    suffix, which keys share."""
-    return _act(gamma[0], _word_on_one(gamma[1:])) if gamma else _ONE
-
-
 def kostka(lam, gamma, method: str = "both") -> QPoly:
-    """Dispatch on engine; method 'both' validates the key once, computes
-    the two independently and raises on disagreement."""
+    """K(lam, gamma, eta)(q) by method 'kostant', 'vertex', or 'both',
+    which runs the two engines independently and raises on disagreement.
+    The method is checked first, then the key, once."""
+    if method not in _METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    return _kostka(*_validate_key(lam, gamma), method)
+
+
+def _kostka(lam, gamma, eta, method: str) -> QPoly:
+    """kostka on a key from _validate_key and a known method."""
     if method == "kostant":
-        return kostka_kostant(lam, gamma)
+        return _kostka_kostant(lam, gamma, eta)
     if method == "vertex":
-        return kostka_vertex(lam, gamma)
-    if method == "both":
-        key = _validate_key(lam, gamma)
-        a = _kostka_kostant(*key)
-        b = _kostka_vertex(*key)
-        if a != b:
-            raise RuntimeError(
-                f"engine disagreement at lam={lam} gamma={gamma}: "
-                f"kostant={a} vertex={b}")
-        return a
-    raise ValueError(f"unknown method {method!r}")
+        return _kostka_vertex(lam, gamma, eta)
+    a = _kostka_kostant(lam, gamma, eta)
+    b = _kostka_vertex(lam, gamma, eta)
+    if a != b:
+        raise RuntimeError(
+            f"engine disagreement at lam={lam} gamma={gamma}: "
+            f"kostant={a} vertex={b}")
+    return a
 
 
 def kostka_foulkes(lam, mu) -> QPoly:
@@ -264,10 +266,8 @@ def kostka_foulkes(lam, mu) -> QPoly:
     if sum(lam) != sum(mu):
         raise ValueError("kostka_foulkes needs |lam| == |mu|")
     n = max(len(lam), len(mu), 1)
-    lam_p = pad_zeros(lam, n)
-    mu_p = pad_zeros(mu, n)
-    gamma = tuple((x,) for x in mu_p)
-    return kostka_kostant(lam_p, gamma)
+    gamma = tuple((x,) for x in pad_zeros(mu, n))
+    return _kostka_kostant(pad_zeros(lam, n), gamma, (1,) * n)
 
 
 def blocked_weights(eta, degree: int, max_part: int | None = None):
@@ -295,13 +295,14 @@ def kostka_table(eta, degree_bound: int, method: str = "both") -> list:
     concatenated gamma, and 1 <= |lam| = |gamma| <= degree_bound.
 
     With method 'both' every key is computed by the two engines and any
-    disagreement raises.  Rows are dicts sorted by (degree, lam, gamma);
+    disagreement raises.  The keys built here are well-formed, so none is
+    checked again.  Rows are dicts sorted by (degree, lam, gamma);
     negative coefficients are legal but unexpected for these keys and are
     logged as warnings.  An unknown method, an empty eta, a part of eta
     below 1 or a negative degree_bound is refused up front.
     """
     eta = tuple(map(_entry, eta))
-    if method not in ("kostant", "vertex", "both"):
+    if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}")
     if not eta or any(e < 1 for e in eta):
         raise ValueError(f"eta parts must be positive, got {eta!r}")
@@ -316,7 +317,7 @@ def kostka_table(eta, degree_bound: int, method: str = "both") -> list:
             if not is_dominant(flat):
                 continue
             for lam in lams:
-                value = kostka(lam, gamma, method=method)
+                value = _kostka(lam, gamma, eta, method)
                 if value.is_zero():
                     continue
                 if any(c < 0 for _, c in value.items()):

@@ -34,7 +34,7 @@ from __future__ import annotations
 from .coeffs import QPoly, QRat, _add_slot, _add_term
 from .memo import memo
 from .symfunc import SymFunc, format_linear, schur
-from .vertexop import apply_H_sum, apply_H_word
+from .vertexop import apply_H_sum
 from .weights import (
     _as_word,
     _entry,
@@ -326,9 +326,6 @@ def relation_instance(kind: str, **params) -> OpSum:
 
 
 # -- evaluation (the independent certificate) ------------------------------
-
-
-evaluate_word = apply_H_word
 
 
 def evaluate(opsum: OpSum, f: SymFunc) -> SymFunc:

@@ -484,7 +484,7 @@ def skew(f: SymFunc, g: SymFunc) -> SymFunc:
 def elementary_perp(k: int, f: SymFunc) -> SymFunc:
     """Skewing by e_k implemented by vertical-strip deletion in the Schur
     basis; e_0-perp is the identity and negative k gives zero."""
-    if k < 0:
+    if _entry(k) < 0:
         return SymFunc.zero(SCHUR)
     if k == 0:
         return f

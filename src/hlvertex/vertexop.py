@@ -15,9 +15,10 @@ signed Schur function after straightening (see _H_schur).  Every word
 and every Z[q]-combination of words runs through one Z[q] core,
 _act_into, which adds scale * H_nu(vec) into a caller's slot dict;
 apply_H_sum folds each word's signs and coefficient into that scale and
-builds QRat only for its output, and _act freezes an image for callers
-that keep it.  Jing's operators are obtained by conjugating with the
-plethystic twist X -> X(1-q).
+builds QRat only for its output.  The Kostka vertex engine's memoized
+vectors of block words applied to 1 are built here too, by _word_on_one.
+Jing's operators are obtained by conjugating with the plethystic twist
+X -> X(1-q).
 """
 
 from __future__ import annotations
@@ -45,10 +46,8 @@ def _frozen(acc: dict) -> MappingProxyType:
     return MappingProxyType({idx: terms for idx, terms in out.items() if terms})
 
 
-# the Z[q] polynomial 1, and the Z[q] vectors of 0 and of s_() = 1
+# the Z[q] polynomial 1
 _UNIT = ((0, 1),)
-_ZERO = MappingProxyType({})
-_ONE = MappingProxyType({(): _UNIT})
 
 
 def _strips_below(sigma):
@@ -113,19 +112,16 @@ def _act_into(nu, vec, out: dict, scale) -> None:
                 _add_slot(slot, terms, m, shift)
 
 
-def _act(v, vec) -> MappingProxyType:
-    """The operator indexed by the integer weight v on a Z[q] vector
-    {kappa: ((exponent, coefficient), ...)}: v is straightened (sign 0
-    gives the zero vector, the empty weight vec itself) and _act_into
-    extends the kernel linearly.  Any other result is a read-only copy,
-    zeros dropped, as kept by kostka's memoized words."""
-    sign, nu = straighten(v)
-    if not sign:
-        return _ZERO
-    if not nu:
-        return vec
+@memo
+def _word_on_one(gamma) -> MappingProxyType:
+    """H_{gamma_1} ... H_{gamma_m} 1 for a nonempty word of dominant blocks,
+    as a read-only Z[q] vector memoized on every suffix, which keys share:
+    one block is the memoized kernel on s_() itself, and a longer word adds
+    its first block's image of the suffix's vector into one fresh dict."""
+    if len(gamma) == 1:
+        return _H_schur(gamma[0], ())
     out: dict = {}
-    _act_into(nu, vec.items(), out, ((0, sign),))
+    _act_into(gamma[0], _word_on_one(gamma[1:]).items(), out, _UNIT)
     return _frozen(out)
 
 

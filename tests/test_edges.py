@@ -14,6 +14,7 @@ from hlvertex import (
     check_col_skew,
     dual_basis_pair_check,
     elementary,
+    elementary_perp,
     homogeneous,
     kostant_series,
     kostka_foulkes,
@@ -36,6 +37,7 @@ ENTRIES = {
     "schur": lambda x: schur((2, x)),
     "powersum": lambda x: powersum((x,)),
     "elementary": lambda x: elementary(x),
+    "elementary_perp": lambda x: elementary_perp(x, schur((2, 1))),
     "homogeneous": lambda x: homogeneous(x),
     "basis_element": lambda x: basis_element("schur", (x,)),
     "apply_H": lambda x: apply_H((x,), one()),

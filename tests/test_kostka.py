@@ -11,6 +11,7 @@ import pytest
 
 import hlvertex
 import hlvertex.kostka as kostka_module
+from hlvertex.cli import main as cli_main
 from hlvertex.coeffs import QPoly
 from hlvertex.kostka import (
     blocked_weights,
@@ -26,7 +27,7 @@ from hlvertex.kostka import (
 )
 from hlvertex.memo import clear_caches
 from hlvertex.symfunc import multiply, one, schur, specialize_q
-from hlvertex.vertexop import _act
+from hlvertex.vertexop import _H_schur, _word_on_one
 from hlvertex.weights import pad_zeros, partitions_of, trim_zeros
 
 
@@ -87,6 +88,11 @@ class TestKostantSeries:
         assert kostant_series((1, 1), (1, 0)).is_zero()
         assert kostant_series((1, 1), (-1, 1)).is_zero()
         assert kostant_series((2,), (1, -1)).is_zero()
+
+    @pytest.mark.parametrize("eta", [(1, 2, -1), (1, 0, 1)])
+    def test_rejects_nonpositive_blocks(self, eta):
+        with pytest.raises(ValueError, match="^block sizes must be positive$"):
+            kostant_series(eta, (1, -1))
 
     def test_against_naive_oracle(self):
         rng = random.Random(2024)
@@ -304,6 +310,14 @@ class TestValidateOnce:
             kostka((2, 1, 0), ((2, 1), (0,)), method=method)
             assert len(calls) == 1
 
+    def test_table_does_not_recheck_its_keys(self, monkeypatch):
+        calls = []
+        validate = kostka_module._validate_key
+        monkeypatch.setattr(kostka_module, "_validate_key",
+                            lambda lam, gamma: calls.append(lam) or validate(lam, gamma))
+        assert kostka_table((2, 2), 4)
+        assert calls == []
+
     @pytest.mark.parametrize("lam,gamma,message", [
         ((1,), (), "the key is empty"),
         ((1, 0), ((1,), ()), r"block 2 of \(\(1,\), \(\)\) is empty"),
@@ -317,27 +331,58 @@ class TestValidateOnce:
                 kostka(lam, gamma, method=method)
 
 
+class TestEngineDisagreement:
+    """method 'both' is a check only if a disagreement is reported."""
+
+    @pytest.fixture
+    def wrong_vertex(self, monkeypatch):
+        kostant = kostka_module._kostka_kostant
+        monkeypatch.setattr(kostka_module, "_kostka_vertex",
+                            lambda *key: kostant(*key) + QPoly.one())
+
+    MESSAGE = r"^engine disagreement at lam=\(2, 1, 0\) gamma=\(\(2, 1\), \(0,\)\): "
+
+    def test_kostka_raises(self, wrong_vertex):
+        with pytest.raises(RuntimeError, match=self.MESSAGE):
+            kostka((2, 1, 0), ((2, 1), (0,)), method="both")
+        assert kostka((2, 1, 0), ((2, 1), (0,)), method="kostant") == QPoly.one()
+
+    def test_table_raises(self, wrong_vertex):
+        with pytest.raises(RuntimeError, match="^engine disagreement at lam=.* gamma="):
+            kostka_table((1, 1), 2, method="both")
+
+    @pytest.mark.parametrize("argv", [
+        ("kostka", "--lambda", "2,1,0", "--gamma", "2,1;0"),
+        ("table", "--eta", "1,1", "--max-degree", "2"),
+    ], ids=["kostka", "table"])
+    def test_cli_exits_1(self, wrong_vertex, capsys, argv):
+        code = cli_main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: engine disagreement at lam=")
+
+
 class TestVertexEngineVectors:
     def test_memoized_vectors_are_read_only(self):
         clear_caches()
         key = ((2, 1), (1,))
-        vec = kostka_module._word_on_one(key)
+        vec = _word_on_one(key)
         with pytest.raises(TypeError):
             vec[(9,)] = ((0, 1),)
         with pytest.raises(TypeError):
             del vec[next(iter(vec))]
         assert all(isinstance(terms, tuple) for terms in vec.values())
-        base = kostka_module._word_on_one(())
+        # one block is the memoized kernel on 1 itself, not a copy
+        base = _word_on_one(((2, 1),))
+        assert base is _H_schur((2, 1), ())
         with pytest.raises(TypeError):
             base[()] = ((0, 2),)
-        # the identity hands back its input, still read-only
-        assert _act((), vec) is vec
         assert kostka_vertex((3, 1, 0), key) == kostka_kostant((3, 1, 0), key)
 
     def test_negative_exponent_is_refused(self, monkeypatch):
         clear_caches()
-        monkeypatch.setattr(kostka_module, "_act",
-                            lambda v, vec: types.MappingProxyType({(1,): ((-1, 1),)}))
+        monkeypatch.setattr(kostka_module, "_word_on_one",
+                            lambda gamma: types.MappingProxyType({(1,): ((-1, 1),)}))
         try:
             with pytest.raises(ArithmeticError, match="non-polynomial"):
                 kostka_vertex((1,), ((1,),))
@@ -405,7 +450,7 @@ class TestTable:
         assert all(not r["K"].is_zero() for r in rows)
 
     def test_negative_coefficient_is_logged(self, monkeypatch, caplog):
-        monkeypatch.setattr(kostka_module, "kostka", lambda lam, gamma, method: -QPoly.q())
+        monkeypatch.setattr(kostka_module, "_kostka", lambda lam, gamma, eta, method: -QPoly.q())
         with caplog.at_level(logging.WARNING, logger="hlvertex.kostka"):
             rows = kostka_table((1,), 1)
         assert [r["K"] for r in rows] == [-QPoly.q()]

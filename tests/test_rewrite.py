@@ -16,7 +16,6 @@ from hlvertex.coeffs import QPoly, QRat
 from hlvertex.rewrite import (
     OpSum,
     evaluate,
-    evaluate_word,
     format_word,
     is_zero_operator,
     normalize,
@@ -87,13 +86,10 @@ class TestEvaluate:
 
     def test_identity_word(self):
         f = schur((2, 1))
-        assert evaluate_word(((),), f) == f
+        assert apply_H_word(((),), f) == f
 
     def test_nondominant_word_straightens(self):
-        assert evaluate_word(((0, 2),), one()) == -schur((1, 1))
-
-    def test_one_word_evaluator(self):
-        assert evaluate_word is apply_H_word
+        assert apply_H_word(((0, 2),), one()) == -schur((1, 1))
 
 
 class TestRelationInstances:
