@@ -27,7 +27,6 @@ from .rewrite import (
 from .symfunc import (
     PowerSumSubst,
     SymFunc,
-    basis_element,
     constant_alphabet,
     convert,
     dual_basis_pair_check,
@@ -49,7 +48,7 @@ from .symfunc import (
     X_TIMES_1MQ,
     X_TIMES_QM1,
 )
-from .vertexop import apply_B, apply_F, apply_H, apply_H_any, apply_H_word
+from .vertexop import apply_B, apply_F, apply_H, apply_H_word
 from .weights import (
     alpha_beta,
     dual_weight,

@@ -61,10 +61,6 @@ class QPoly:
     def const(cls, n: int) -> "QPoly":
         return cls({0: n})
 
-    @classmethod
-    def monomial(cls, exp: int, coeff: int = 1) -> "QPoly":
-        return cls({exp: coeff})
-
     # -- inspection ---------------------------------------------------
 
     def is_zero(self) -> bool:

@@ -334,8 +334,13 @@ def check_col_skew(alpha, gamma, k: int) -> bool:
     """Column-skew recurrence: the sum of K(alpha, nu) over blockwise
     vertical co-strips nu of gamma with |gamma| - |nu| = k equals the sum
     of K(lam, gamma) over vertical strips lam over alpha with
-    |lam| - |alpha| = k.  Evaluated exactly through the Kostant engine."""
-    alpha, gamma = tuple(map(_entry, alpha)), _as_word(gamma)
+    |lam| - |alpha| = k.  Evaluated exactly through the Kostant engine.
+    The key (alpha, gamma) is checked once; the co-strips of gamma and
+    the strips over alpha are dominant of the same shape, so they go in
+    unchecked."""
+    alpha, gamma, eta = _validate_key(alpha, gamma)
+    if _entry(k) < 0:
+        raise ValueError(f"k must be nonnegative, got {k}")
     flat = tuple(x for b in gamma for x in b)
     if sum(flat) - sum(alpha) != k:
         raise ValueError("need |gamma| - |alpha| == k")
@@ -345,12 +350,12 @@ def check_col_skew(alpha, gamma, k: int) -> bool:
         dropped = sum(sum(g) - sum(c) for g, c in zip(gamma, choice))
         if dropped != k:
             continue
-        left = left + kostka_kostant(alpha, choice)
+        left = left + _kostka_kostant(alpha, choice, eta)
     right = QPoly.zero()
     for lam in vertical_strip_grow(alpha):
         if sum(lam) - sum(alpha) != k:
             continue
-        right = right + kostka_kostant(lam, gamma)
+        right = right + _kostka_kostant(lam, gamma, eta)
     return left == right
 
 

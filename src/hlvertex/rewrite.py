@@ -348,10 +348,6 @@ def operators_equal(a: OpSum, b: OpSum, max_degree: int) -> bool:
     return True
 
 
-def is_zero_operator(s: OpSum, max_degree: int) -> bool:
-    return operators_equal(s, OpSum(), max_degree)
-
-
 # -- the three rewriting algorithms ---------------------------------------
 
 

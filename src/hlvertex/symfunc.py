@@ -23,33 +23,20 @@ from .weights import (_entry, is_dominant, is_partition, partitions_of, trim_zer
 SCHUR = "schur"
 POWERSUM = "powersum"
 
-_BASIS_ALIASES = {
-    "s": SCHUR, "schur": SCHUR,
-    "p": POWERSUM, "power": POWERSUM, "powersum": POWERSUM,
-}
 
-
-def _norm_basis(b: str) -> str:
-    try:
-        return _BASIS_ALIASES[b.lower()]
-    except KeyError:
-        raise ValueError(f"unknown basis {b!r}") from None
+def _check_basis(b: str) -> str:
+    if b != SCHUR and b != POWERSUM:
+        raise ValueError(f"unknown basis {b!r}")
+    return b
 
 
 # ----------------------------------------------------------------------
 # Symmetric group characters (Murnaghan-Nakayama via beta numbers)
 # ----------------------------------------------------------------------
 
-def symmetric_group_character(lam, mu) -> int:
-    """chi^lam(mu) for partitions of the same size."""
-    lam, mu = trim_zeros(lam), trim_zeros(mu)
-    if sum(lam) != sum(mu):
-        raise ValueError("character needs |lam| == |mu|")
-    return _char(lam, mu)
-
-
 @memo
 def _char(lam, mu) -> int:
+    """chi^lam(mu) for trimmed partitions of the same size."""
     if not mu:
         return 1 if not lam else 0
     r, rest = mu[0], mu[1:]
@@ -217,7 +204,7 @@ class SymFunc:
     __slots__ = ("basis", "_terms", "_hash")
 
     def __init__(self, basis: str, terms=None):
-        self.basis = _norm_basis(basis)
+        self.basis = _check_basis(basis)
         t = {}
         if terms:
             for idx, c in terms.items():
@@ -385,26 +372,11 @@ def one(basis: str = SCHUR) -> SymFunc:
     return SymFunc(basis, {(): QRat.one()})
 
 
-def basis_element(kind: str, index=None) -> SymFunc:
-    kind = kind.lower()
-    if kind == "schur":
-        return schur(index)
-    if kind == "powersum":
-        return powersum(index)
-    if kind == "homogeneous":
-        return homogeneous(index)
-    if kind == "elementary":
-        return elementary(index)
-    if kind == "one":
-        return one()
-    raise ValueError(f"unknown basis element kind {kind!r}")
-
-
 # -- ring operations ------------------------------------------------------
 
 
 def convert(f: SymFunc, target: str) -> SymFunc:
-    target = _norm_basis(target)
+    target = _check_basis(target)
     if f.basis == target:
         return f
     table = _schur_to_p if target == POWERSUM else _p_to_schur

@@ -130,14 +130,8 @@ def apply_H(nu, f: SymFunc) -> SymFunc:
     0: the identity) to f; see apply_H_sum for where QRat is built."""
     nu = tuple(map(_entry, nu))
     if not is_dominant(nu):
-        raise ValueError(f"{nu} is not dominant; use apply_H_any")
+        raise ValueError(f"{nu} is not dominant; use apply_H_word")
     return apply_H_sum((((nu,), QPoly.one()),), f)
-
-
-def apply_H_any(v, f: SymFunc) -> SymFunc:
-    """Apply the operator indexed by an arbitrary integer weight: it is
-    zero or agrees up to sign with a dominant one after straightening."""
-    return apply_H_word((v,), f)
 
 
 def apply_H_word(blocks, f: SymFunc) -> SymFunc:

@@ -490,6 +490,24 @@ class TestColSkew:
         with pytest.raises(ValueError):
             check_col_skew((1, 0), ((1,), (1,)), 3)
 
+    # a bad key is refused even where both sums are empty
+    @pytest.mark.parametrize("alpha,gamma,k,message", [
+        ((1, 0, 0), ((5,), (0,)), 4, "lambda must have length 2"),
+        ((0, 1), ((5,), (0,)), 4, r"\(0, 1\) is not dominant"),
+        ((2, 0), ((1,), (0,)), -1, "k must be nonnegative, got -1"),
+    ], ids=["too-long", "not-dominant", "negative-k"])
+    def test_bad_key_is_refused(self, alpha, gamma, k, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            check_col_skew(alpha, gamma, k)
+
+    def test_validates_its_key_once(self, monkeypatch):
+        calls = []
+        validate = kostka_module._validate_key
+        monkeypatch.setattr(kostka_module, "_validate_key",
+                            lambda lam, gamma: calls.append(lam) or validate(lam, gamma))
+        assert check_col_skew((2, 1, 0, 0), ((2, 1), (1, 0)), 1)
+        assert calls == [(2, 1, 0, 0)]
+
 
 def test_package_attribute_kostka_is_the_module():
     assert isinstance(hlvertex.kostka, types.ModuleType)

@@ -13,7 +13,7 @@ from hlvertex.symfunc import (
     SymFunc,
     X_OVER_QM1,
     X_TIMES_QM1,
-    basis_element,
+    _char,
     constant_alphabet,
     convert,
     dual_basis_pair_check,
@@ -32,7 +32,6 @@ from hlvertex.symfunc import (
     skew,
     skew_schur_expansion,
     specialize_q,
-    symmetric_group_character,
     z_of,
 )
 from hlvertex.weights import (
@@ -64,11 +63,11 @@ def random_symfunc(rng, basis, max_degree, nterms=3):
 
 class TestBasisElements:
     def test_examples(self):
-        assert basis_element("schur", (2, 1)) == schur((2, 1))
-        assert basis_element("elementary", 2) == schur((1, 1))
-        assert basis_element("homogeneous", 3) == schur((3,))
-        assert basis_element("one").coefficient(()) == QRat.one()
-        assert basis_element("powersum", (2, 1)) == powersum((2, 1))
+        assert schur((2, 1)) == SymFunc(SCHUR, {(2, 1): 1})
+        assert elementary(2) == schur((1, 1))
+        assert homogeneous(3) == schur((3,))
+        assert one().coefficient(()) == QRat.one()
+        assert powersum((2, 1)) == SymFunc(POWERSUM, {(2, 1): 1})
         assert powersum((2, 1)).terms() == [((2, 1), QRat.one())]
 
     def test_invalid(self):
@@ -76,6 +75,12 @@ class TestBasisElements:
             schur((1, 2))
         with pytest.raises(ValueError):
             powersum((2, 0, -1))
+
+    def test_basis_names_are_exact(self):
+        with pytest.raises(ValueError, match="^unknown basis 's'$"):
+            SymFunc("s", {(1,): 1})
+        with pytest.raises(ValueError, match="^unknown basis 'p'$"):
+            convert(schur((1,)), "p")
 
 
 class TestConvert:
@@ -411,11 +416,11 @@ class TestRationalTensorMultiplicity:
 
 class TestCharacters:
     def test_small_table(self):
-        assert symmetric_group_character((1, 1), (2,)) == -1
-        assert symmetric_group_character((2,), (2,)) == 1
-        assert symmetric_group_character((2, 1), (1, 1, 1)) == 2
-        assert symmetric_group_character((2, 1), (3,)) == -1
-        assert symmetric_group_character((2, 1), (2, 1)) == 0
+        assert _char((1, 1), (2,)) == -1
+        assert _char((2,), (2,)) == 1
+        assert _char((2, 1), (1, 1, 1)) == 2
+        assert _char((2, 1), (3,)) == -1
+        assert _char((2, 1), (2, 1)) == 0
 
     def test_specialize_q_helper(self):
         f = schur((2,)).scale(Q) + schur((1, 1))

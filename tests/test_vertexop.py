@@ -35,7 +35,6 @@ from hlvertex.vertexop import (
     apply_B,
     apply_F,
     apply_H,
-    apply_H_any,
     apply_H_word,
 )
 from hlvertex.weights import (
@@ -350,12 +349,12 @@ class TestKernelCache:
 
 class TestApplyHAny:
     def test_vanishing(self):
-        assert apply_H_any((1, 2), schur((3,))).is_zero()
+        assert apply_H_word(((1, 2),), schur((3,))).is_zero()
 
     def test_straightened(self):
-        assert apply_H_any((0, 2), one()) == -schur((1, 1))
+        assert apply_H_word(((0, 2),), one()) == -schur((1, 1))
         for v in [(2, 1), (3, 0, 0)]:
-            assert apply_H_any(v, schur((1,))) == apply_H(v, schur((1,)))
+            assert apply_H_word((v,), schur((1,))) == apply_H(v, schur((1,)))
 
     def test_shifted_skew_symmetry(self):
         # exchanging adjacent entries through the shift negates the operator
@@ -364,8 +363,8 @@ class TestApplyHAny:
                 w = list(v)
                 w[i], w[i + 1] = v[i + 1] - 1, v[i] + 1
                 for tau in [(), (1,), (2, 1)]:
-                    assert apply_H_any(v, schur(tau)) == \
-                        -apply_H_any(tuple(w), schur(tau))
+                    assert apply_H_word((v,), schur(tau)) == \
+                        -apply_H_word((tuple(w),), schur(tau))
 
 
 class TestApplyHWord:
@@ -394,7 +393,7 @@ class TestApplyHWord:
             tau = rng.choice([(), (1,), (2,), (1, 1), (2, 1)])
             word = tuple((x,) for x in v)
             lhs = specialize_q(apply_H_word(word, schur(tau)), 0)
-            rhs = specialize_q(apply_H_any(v, schur(tau)), 0)
+            rhs = specialize_q(apply_H_word((v,), schur(tau)), 0)
             assert lhs == rhs
 
     def test_q1_is_schur_multiplication(self):
