@@ -39,6 +39,10 @@ ENTRIES = {
     "homogeneous": lambda x: homogeneous(x),
     "apply_H": lambda x: apply_H((x,), one()),
     "apply_H_word": lambda x: apply_H_word(((1,), (x,)), one()),
+    # the rows named for the removed aliases apply_H_any and basis_element
+    # call the code that stood behind them: a one-block word, a schur index
+    "apply_H_any": lambda x: apply_H_word(((0, x),), one()),
+    "basis_element": lambda x: schur((x,)),
     "apply_B": lambda x: apply_B((x,), one()),
     "kostka": lambda x: kostka((x,), ((1,),)),
     "kostka_kostant": lambda x: kostka_kostant((1,), ((x,),)),
