@@ -162,7 +162,6 @@ def kostka_kostant(lam, gamma) -> QPoly:
     return _kostka_kostant(*_validate_key(lam, gamma))
 
 
-@memo
 def _kostka_kostant(lam, gamma, eta) -> QPoly:
     n = sum(eta)
     flat = tuple(x for b in gamma for x in b)

@@ -383,34 +383,25 @@ def _replacement(rel: dict, word, coeff: dict) -> dict:
             for w, slot in rel.items() if w != word and any(slot.values())}
 
 
-def _eliminate(word, name: str, relation, finished, measure,
-               increasing: bool = False) -> OpSum:
+def _eliminate(word, name: str, relation, finished, measure) -> OpSum:
     """The worklist shared by the rewriting algorithms.
 
     Words for which finished(w) holds collect in the result.  Each step
-    takes the unfinished word with the largest (measure, word), or the
-    smallest when the measure must increase, solves relation(current) == 0
-    for it and substitutes, straightening the relation's blocks through
-    one table for the whole call.  Every unfinished word so produced must
-    keep the factor lengths of the input and move the measure strictly in
-    its direction, which is checked as a hard termination guard, besides a
-    step budget.  The result must have coefficients in Z[q].
+    takes the unfinished word with the smallest (measure, word), solves
+    relation(current) == 0 for it and substitutes, straightening the
+    relation's blocks through one table for the whole call.  Every
+    unfinished word so produced must keep the factor lengths of the input
+    and strictly increase the measure, which is checked as a hard
+    termination guard, besides a step budget.  The result must have
+    coefficients in Z[q].
 
     Coefficients stay Z[q] slots until each output word gets one QPoly.
-    Words enter a heap once, keyed (measure, word) or, largest first,
-    (-measure, word with every entry negated): all queued words have the
-    input's factor lengths, so the negation reverses their order exactly.
-    A queued word whose slot cancels is dropped without a step.
+    Words enter a heap once, keyed (measure, word); a queued word whose
+    slot cancels is dropped without a step.
     """
     import heapq  # on use: keeps the CLI's import light
 
     shape = (len(word[0]), len(word[1]))
-    if increasing:
-        def entry(w, m):
-            return m, w, w
-    else:
-        def entry(w, m):
-            return -m, tuple(tuple(-x for x in b) for b in w), w
     pending: dict = {}
     done: dict = {}
     heap: list = []
@@ -418,19 +409,17 @@ def _eliminate(word, name: str, relation, finished, measure,
         done[word] = {0: 1}
     else:
         pending[word] = {0: 1}
-        heap.append(entry(word, measure(word)))
-    way = "increase" if increasing else "decrease"
+        heap.append((measure(word), word))
     straight: dict = {}
     steps = 0
     while heap:
-        current = heapq.heappop(heap)[2]
+        m, current = heapq.heappop(heap)
         coeff = pending.pop(current)
         if not any(coeff.values()):
             continue
         steps += 1
         if steps > _MAX_STEPS:
             raise RuntimeError(f"{name} exceeded the step budget")
-        m = measure(current)
         rel = _normalize(relation(current), straight)
         for w, terms in _replacement(rel, current, coeff).items():
             if finished(w):
@@ -440,13 +429,13 @@ def _eliminate(word, name: str, relation, finished, measure,
             if lengths != shape:
                 raise RuntimeError(f"unexpected factor lengths {lengths}")
             mw = measure(w)
-            if (mw <= m) if increasing else (mw >= m):
+            if mw <= m:
                 raise RuntimeError(
-                    f"termination measure failed to {way} at {format_word(w)}")
+                    f"termination measure failed to increase at {format_word(w)}")
             slot = pending.get(w)
             if slot is None:
                 slot = pending[w] = {}
-                heapq.heappush(heap, entry(w, mw))
+                heapq.heappush(heap, (mw, w))
             _add_slot(slot, terms, 1)
     out = _from_slots(done)
     for w, c in out._terms.items():
@@ -469,14 +458,15 @@ def rewrite_dominant(word) -> OpSum:
     """Rewrite a word with dominant factors as an operator-equal sum of
     words whose concatenated weight is dominant.
 
-    Among unresolved words the one with the largest gap between the head
-    of the second factor and the tail of the first is eliminated through
-    a strip relation; the gap strictly decreases, which is checked as a
-    hard termination guard.
+    Each unresolved word is measured by the tail of the first factor
+    minus the head of the second, which is negative until the word is
+    resolved; the word with the smallest measure is eliminated through a
+    strip relation, and the measure strictly increases, which is checked
+    as a hard termination guard.
     """
     return _eliminate(_check_two_dominant_factors(word), "rewrite_dominant",
                       _strip_relation, _concat_dominant,
-                      lambda w: w[1][0] - w[0][-1])
+                      lambda w: w[0][-1] - w[1][0])
 
 
 def _move_slots(word, name: str, target) -> OpSum:
@@ -492,7 +482,7 @@ def _move_slots(word, name: str, target) -> OpSum:
 
     return _eliminate(word, name, relation,
                       lambda w: (len(w[0]), len(w[1])) == target,
-                      lambda w: sum(w[0]), increasing=True)
+                      lambda w: sum(w[0]))
 
 
 def shift_support(word, direction: str) -> OpSum:
@@ -518,13 +508,12 @@ def shift_support(word, direction: str) -> OpSum:
 def swap_factors(word) -> OpSum:
     """Rewrite a two-factor word as an operator-equal sum of words with
     the factor lengths exchanged.  Words whose factors already have equal
-    lengths are returned unchanged; a swap whose dual Cauchy kernel has
-    more than _MAX_KERNEL_CELLS cells is refused with ValueError."""
+    lengths are finished on entry and come back unchanged; a swap whose
+    dual Cauchy kernel has more than _MAX_KERNEL_CELLS cells is refused
+    with ValueError."""
     word = _check_two_dominant_factors(word)
     f1, f2 = word
     p, r = len(f1), len(f2)
-    if p == r:
-        return OpSum({word: 1})
     l, k = abs(p - r), min(p, r)
     if l * k > _MAX_KERNEL_CELLS:
         raise ValueError(f"swapping factor lengths {p} and {r} needs the {l} x {k} "

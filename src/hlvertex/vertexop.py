@@ -42,8 +42,8 @@ from .weights import _as_word, _entry, is_dominant, straighten, trim_zeros
 
 def _frozen(acc: dict) -> MappingProxyType:
     """acc as read-only {index: ((exponent, coefficient), ...)}, zeros dropped."""
-    out = {idx: tuple((e, v) for e, v in slot.items() if v) for idx, slot in acc.items()}
-    return MappingProxyType({idx: terms for idx, terms in out.items() if terms})
+    return MappingProxyType({idx: terms for idx, slot in acc.items()
+                             if (terms := tuple((e, v) for e, v in slot.items() if v))})
 
 
 # the Z[q] polynomial 1

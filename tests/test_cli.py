@@ -225,6 +225,16 @@ class TestCheckCommand:
         assert set(data["suites"]) == {"identities", "colskew", "jing",
                                        "engines", "core"}
 
+    def test_failing_check_is_reported(self, capsys, monkeypatch):
+        monkeypatch.setitem(cli._SUITES, "broken", lambda max_degree: [("x", False)])
+        code, out, _ = run(capsys, "check", "--suite", "broken")
+        assert code == 1
+        assert out == "suite broken: 0/1 passed\n  FAIL x\n"
+        code, out, _ = run(capsys, "check", "--suite", "broken", "--json")
+        assert code == 1
+        assert json.loads(out) == {"ok": False, "suites": {"broken": {
+            "passed": 0, "total": 1, "failures": ["x"]}}}
+
     def test_negative_degree_exits_2(self, capsys):
         for suite in ("identities", "engines", "all"):
             code, out, err = run(capsys, "check", "--suite", suite,
@@ -259,6 +269,11 @@ class TestDeterminismAndErrors:
     def test_bad_word_exits_2(self, capsys):
         code, _, err = run(capsys, "rewrite", "--word", "H[1]H[2]H[3]")
         assert code == 2
+
+    def test_empty_word_exits_2(self, capsys):
+        code, out, err = run(capsys, "eval", "--word", "")
+        assert code == 2 and out == ""
+        assert err == "error: no operator blocks in ''\n"
 
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -94,6 +94,10 @@ class TestKostantSeries:
         with pytest.raises(ValueError, match="^block sizes must be positive$"):
             kostant_series(eta, (1, -1))
 
+    def test_rejects_a_weight_of_the_wrong_length(self):
+        with pytest.raises(ValueError, match="^weight length must match the shape$"):
+            kostant_series((1, 1), (1,))
+
     def test_against_naive_oracle(self):
         rng = random.Random(2024)
         etas = [eta for n in range(2, 5) for eta in compositions(n)]
@@ -330,6 +334,11 @@ class TestValidateOnce:
             with pytest.raises(ValueError, match=f"^{message}$"):
                 kostka(lam, gamma, method=method)
 
+    def test_unknown_method_is_refused_before_the_key(self):
+        for lam, gamma in [((1,), ((1,),)), ((0, 1), ((1,), (0,)))]:
+            with pytest.raises(ValueError, match="^unknown method 'bogus'$"):
+                kostka(lam, gamma, method="bogus")
+
 
 class TestEngineDisagreement:
     """method 'both' is a check only if a disagreement is reported."""
@@ -426,6 +435,10 @@ class TestKostkaFoulkes:
     def test_requires_equal_size(self):
         with pytest.raises(ValueError):
             kostka_foulkes((2,), (1,))
+
+    def test_requires_partitions(self):
+        with pytest.raises(ValueError, match="^kostka_foulkes expects partitions$"):
+            kostka_foulkes((1, 2), (3,))
 
 
 class TestTable:

@@ -74,6 +74,11 @@ class TestWordNotation:
         with pytest.raises(ValueError):
             parse_word("H[a]")
 
+    @pytest.mark.parametrize("text", ["", "  "], ids=["empty", "blank"])
+    def test_no_blocks(self, text):
+        with pytest.raises(ValueError, match="^no operator blocks in ''$"):
+            parse_word(text)
+
 
 class TestEvaluate:
     def test_empty_sum(self):
@@ -541,8 +546,7 @@ class TestDriverGuards:
         fn, word, _ = GUARDED[name]
         monkeypatch.setattr(rewrite_module, "_replacement",
                             lambda rel, w, coeff: {w: coeff.items()})
-        way = "decrease" if name == "rewrite_dominant" else "increase"
-        message = f"termination measure failed to {way} at {format_word(word)}"
+        message = f"termination measure failed to increase at {format_word(word)}"
         with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
             fn(word)
 
@@ -616,8 +620,12 @@ class TestRewriteWork:
     ]
 
     # the relation generators' calls, name and arguments, over all three
-    # cases in order; recorded while the next word was picked by a scan
-    STEP_ORDER_SHA256 = "0be8167c80e101e3e8b11b8fb1a5644fa86a63ee8c3a9bb61da57c9ab0c5739e"
+    # cases in order; recorded while every elimination took the word with
+    # the smallest (measure, word) off its heap
+    STEP_ORDER_SHA256 = "7590106e52ad4c41c336bc4c728c59119e9862d49269abdb0ea20eebc8fee1bc"
+    # the same calls sorted: which relations are built does not depend on
+    # how ties between words of equal measure are broken
+    STEP_SET_SHA256 = "5c7981772432ff9fc16993350f709ae297e0b707270730d7c5ccc8cb1906fdc8"
 
     @staticmethod
     def run(name, args):
@@ -663,6 +671,8 @@ class TestRewriteWork:
         assert len(calls) == 81 + 92 + 37
         assert hashlib.sha256("\n".join(calls).encode()).hexdigest() == \
             self.STEP_ORDER_SHA256
+        assert hashlib.sha256("\n".join(sorted(calls)).encode()).hexdigest() == \
+            self.STEP_SET_SHA256
 
     def test_qpoly_objects_per_output_term(self):
         # counted in a child interpreter: a QPoly.__new__ patched on the

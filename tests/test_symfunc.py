@@ -76,6 +76,11 @@ class TestBasisElements:
         with pytest.raises(ValueError):
             powersum((2, 0, -1))
 
+    @pytest.mark.parametrize("basis", [elementary, homogeneous])
+    def test_negative_degree(self, basis):
+        with pytest.raises(ValueError, match="^negative degree$"):
+            basis(-1)
+
     def test_basis_names_are_exact(self):
         with pytest.raises(ValueError, match="^unknown basis 's'$"):
             SymFunc("s", {(1,): 1})
@@ -323,6 +328,15 @@ class TestPlethysm:
     def test_dual_bases(self):
         assert dual_basis_pair_check(X_TIMES_QM1, 4)
 
+    def test_dual_basis_check_can_fail(self, monkeypatch):
+        # the constant alphabet 2 keeps s_() at 1, and its inverse sends
+        # s_1 to 1/2, so the pair (s_(), s_1) gives 1/2, not 0
+        assert dual_basis_pair_check(constant_alphabet(QRat(2)), 0)
+        assert not dual_basis_pair_check(constant_alphabet(QRat(2)), 1)
+        # X(q-1) paired against itself instead of X/(q-1)
+        monkeypatch.setattr(PowerSumSubst, "inverse", lambda self: self)
+        assert not dual_basis_pair_check(X_TIMES_QM1, 1)
+
     def test_dual_pair_examples(self):
         left = plethysm_substitute(schur((1,)), X_TIMES_QM1)
         right = plethysm_substitute(schur((1,)), X_OVER_QM1)
@@ -434,6 +448,11 @@ class TestPowerSumSubstContract:
         assert subst.phi(3) == Q**3 - 1
         inv = subst.inverse()
         assert (subst.phi(2) * inv.phi(2)).is_one()
+
+    def test_zero_scale_has_no_inverse(self):
+        with pytest.raises(ZeroDivisionError,
+                           match="^scale factor is zero; no inverse alphabet$"):
+            PowerSumSubst(QRat(0)).inverse()
 
 
 EXPANSIONS = [

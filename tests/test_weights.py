@@ -136,6 +136,10 @@ class TestAlphaBeta:
         al, be = alpha_beta((2, -1))
         assert len(al) == len(be) == 2
 
+    def test_rejects_a_weight_that_is_not_dominant(self):
+        with pytest.raises(ValueError, match=r"^\(0, 1\) is not dominant$"):
+            alpha_beta((0, 1))
+
 
 class TestHelpers:
 
