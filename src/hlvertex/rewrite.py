@@ -23,13 +23,17 @@ move is its case l = 1.  relation_instance builds each relation once:
 com1 and com2 (Jing's one-row rules lifted through vertical strips), move,
 bigmove and the identity families.  Correctness of any produced sum can be
 certified through the evaluator, which is an independent oracle.
-The relation generators return raw sums over unstraightened blocks as
-flat (word, exponent, integer) terms, and each elimination straightens
-every distinct block once per call.  The elimination runs on Z[q] slots
-{exponent: int} and builds one QPoly per output word at the end.
+The relation generators build each relation straightened, as Z[q] slots
+{word: {exponent: int}}, through a table of straightened blocks that one
+elimination keeps for its whole call, so every distinct block is
+straightened once per call and no raw term list is built.  The
+elimination runs on these slots and builds one QPoly per output word at
+the end.
 """
 
 from __future__ import annotations
+
+from operator import add, sub
 
 from .coeffs import QPoly, QRat, _add_slot, _add_term
 from .memo import memo
@@ -158,10 +162,10 @@ def _from_slots(slots: dict) -> OpSum:
 
 def _normalize(raw, straight: dict) -> dict:
     """Straighten the blocks of raw (word, exponent, int) terms over int
-    words, as the relation generators build them, folding signs into the
-    integers, into Z[q] slots {word: {exponent: int}}.  A slot may cancel
-    to zeros.  straight maps each block seen so far to its straighten()
-    value and may be shared across calls."""
+    words, as normalize and the identity families build them, folding signs
+    into the integers, into Z[q] slots {word: {exponent: int}}.  A slot may
+    cancel to zeros.  straight maps each block seen so far to its
+    straighten() value and may be shared across calls."""
     out: dict = {}
     for word, e, n in raw:
         blocks = []
@@ -216,22 +220,40 @@ def parse_word(text: str) -> tuple:
 # -- relation generators ---------------------------------------------------
 
 
-def _strip_lift(mu, row, nu) -> list:
+def _strip_lift(mu, row, nu, straight: dict) -> dict:
     """Lift a one-row relation row = ((a, b, j), ...), the sum of
     (-q)^j H_a H_b, to the strip relation between mu and nu: each pair of
     alpha in vertical_strip_grow(mu) and beta in vertical_strip_shrink(nu)
     contributes the row with H_a H_b replaced by H_{alpha + (a + |nu/beta|)}
-    H_{(b - |alpha/mu|) + beta}, times (-q)^(|alpha/mu| + |nu/beta|).  The
-    returned raw sum of (word, exponent, int) terms is the zero operator."""
-    raw = []
+    H_{(b - |alpha/mu|) + beta}, times (-q)^(|alpha/mu| + |nu/beta|).  This
+    zero operator is returned as _normalize's slots, straightened through
+    straight: each second block once per head value b - |alpha/mu|, and a
+    vanishing one is dropped before the pairs are formed."""
+    out: dict = {}
+    by_head: dict = {}  # b - |alpha/mu| -> [(|nu/beta|, its straightened second block)]
     for alpha in vertical_strip_grow(mu):
         ja = sum(alpha) - sum(mu)
-        for beta in vertical_strip_shrink(nu):
-            jb = sum(nu) - sum(beta)
-            for a, b, j in row:
-                e = ja + jb + j
-                raw.append(((alpha + (a + jb,), (b - ja,) + beta), e, -1 if e % 2 else 1))
-    return raw
+        for a, b, j in row:
+            seconds = by_head.get(b - ja)
+            if seconds is None:
+                seconds = by_head[b - ja] = []
+                for beta in vertical_strip_shrink(nu):
+                    block = (b - ja,) + beta
+                    hit = straight.get(block)
+                    if hit is None:
+                        hit = straight[block] = straighten(block)
+                    if hit[0]:
+                        seconds.append((sum(nu) - sum(beta), hit))
+            for jb, (s, second) in seconds:
+                block = alpha + (a + jb,)
+                hit = straight.get(block)
+                if hit is None:
+                    hit = straight[block] = straighten(block)
+                if hit[0]:
+                    e = ja + jb + j
+                    slot = out.setdefault((hit[1], second), {})
+                    slot[e] = slot.get(e, 0) + (-s if e % 2 else s) * hit[0]
+    return out
 
 
 def _com1_row(a: int, b: int) -> tuple:
@@ -247,57 +269,80 @@ def _com2_row(a: int) -> tuple:
 
 @memo
 def _dual_cauchy(l: int, k: int) -> tuple:
-    """prod over i < l, j < k of (1 - q y_i z_j) as terms (y exponents,
-    z exponents, exponent of q, integer), multiplied out one factor at a
-    time with integer counts of 0/1 matrices by row and column sums.  By
-    the dual Cauchy identity it is the sum over theta in the l x k box of
-    (-q)^|theta| s_theta(y) s_theta'(z)."""
+    """prod over i < l, j < k of (1 - q y_i z_j), multiplied out one factor
+    at a time with integer counts of 0/1 matrices by row and column sums,
+    as rows (y exponents, exponent of q, ((z exponents, integer), ...))
+    grouped by y.  By the dual Cauchy identity it is the sum over theta in
+    the l x k box of (-q)^|theta| s_theta(y) s_theta'(z)."""
     counts = {((0,) * l, (0,) * k): 1}
     for i in range(l):
         for j in range(k):
             for (y, z), n in list(counts.items()):
                 key = (y[:i] + (y[i] + 1,) + y[i + 1:], z[:j] + (z[j] + 1,) + z[j + 1:])
                 counts[key] = counts.get(key, 0) + n
-    return tuple((y, z, sum(y), -n if sum(y) % 2 else n) for (y, z), n in counts.items())
+    rows: dict = {}
+    for (y, z), n in counts.items():
+        rows.setdefault(y, []).append((z, -n if sum(y) % 2 else n))
+    return tuple((y, sum(y), tuple(zs)) for y, zs in rows.items())
 
 
-def _bigmove_relation(alpha, beta, gamma) -> list:
+def _bigmove_relation(alpha, beta, gamma, straight: dict) -> dict:
     """Slot-moving relation between factor lengths (k+l, m) and (k, l+m)
     for any lengths k, l, m of alpha, beta, gamma, from the Cauchy-twisted
-    commutation of generating series: _dual_cauchy(l, m) raises beta and
-    lowers gamma, minus _dual_cauchy(k, l) raising alpha and lowering beta.
-    The returned raw sum of (word, exponent, int) terms is zero as an
-    operator; move is the case l = 1, and the factor swap of lengths
-    (k+l, k) the case m = k."""
-    alpha, beta, gamma = tuple(alpha), tuple(beta), tuple(gamma)
-    k, l, m = len(alpha), len(beta), len(gamma)
-    raw = [((alpha + tuple(b + d for b, d in zip(beta, y)),
-             tuple(g - d for g, d in zip(gamma, z))), e, n)
-           for y, z, e, n in _dual_cauchy(l, m)]
-    raw += [((tuple(a + d for a, d in zip(alpha, x)),
-              tuple(b - d for b, d in zip(beta, y)) + gamma), e, -n)
-            for x, y, e, n in _dual_cauchy(k, l)]
-    return raw
+    commutation of generating series: _dual_cauchy(l, m) raising beta and
+    lowering gamma (words alpha + (beta + y), gamma - z), minus
+    _dual_cauchy(k, l) raising alpha and lowering beta (alpha + x,
+    (beta - y) + gamma).  This zero operator is returned as _normalize's
+    slots, straightened through straight: each first block once per kernel
+    row, whose columns it skips when it vanishes, and each second block
+    once per column.  move is the case l = 1, and the factor swap of
+    lengths (k+l, k) the case m = k."""
+    out: dict = {}
+    for head, up, down, tail, kernel, sign in (
+            (alpha, beta, gamma, (), _dual_cauchy(len(beta), len(gamma)), 1),
+            ((), alpha, beta, gamma, _dual_cauchy(len(alpha), len(beta)), -1)):
+        seconds: dict = {}  # column z -> straightened (down - z) + tail
+        for y, e, row in kernel:
+            block = head + tuple(map(add, up, y))
+            hit = straight.get(block)
+            if hit is None:
+                hit = straight[block] = straighten(block)
+            s, first = hit
+            if not s:
+                continue
+            s *= sign
+            for z, n in row:
+                hit = seconds.get(z)
+                if hit is None:
+                    block = tuple(map(sub, down, z)) + tail
+                    hit = straight.get(block)
+                    if hit is None:
+                        hit = straight[block] = straighten(block)
+                    seconds[z] = hit
+                if hit[0]:
+                    slot = out.setdefault((first, hit[1]), {})
+                    slot[e] = slot.get(e, 0) + s * hit[0] * n
+    return out
 
 
-# Each relation kind as its generator of raw (word, exponent, int) terms,
+# Each relation kind as its builder of Z[q] slots {word: {exponent: int}},
 # whose argument names are the kind's parameters
 _RELATIONS = {
-    "com1": lambda mu, a, b, nu: _strip_lift(mu, _com1_row(a, b), nu),
-    "com2": lambda mu, a, nu: _strip_lift(mu, _com2_row(a), nu),
-    "move": lambda mu, a, nu: _bigmove_relation(mu, (a,), nu),
-    "bigmove": _bigmove_relation,
-    # identities of rectangular operators H_{(a^k)}, as lhs - rhs:
+    "com1": lambda mu, a, b, nu: _strip_lift(mu, _com1_row(a, b), nu, {}),
+    "com2": lambda mu, a, nu: _strip_lift(mu, _com2_row(a), nu, {}),
+    "move": lambda mu, a, nu: _bigmove_relation(mu, (a,), nu, {}),
+    "bigmove": lambda alpha, beta, gamma: _bigmove_relation(alpha, beta, gamma, {}),
+    # identities of rectangular operators H_{(a^k)}, as raw terms of lhs - rhs:
     # H_{(a^n)} H_{(a^k)} = H_{(a^k)} H_{(a^n)}
-    "same-width": lambda a, k, n: [(((a,) * n, (a,) * k), 0, 1),
-                                   (((a,) * k, (a,) * n), 0, -1)],
+    "same-width": lambda a, k, n: _normalize([(((a,) * n, (a,) * k), 0, 1),
+                                              (((a,) * k, (a,) * n), 0, -1)], {}),
     # H_{(a^k)} H_{((a+1)^k)} = q^k H_{((a+1)^k)} H_{(a^k)}
-    "one-more": lambda a, k: [(((a,) * k, (a + 1,) * k), 0, 1),
-                              (((a + 1,) * k, (a,) * k), k, -1)],
+    "one-more": lambda a, k: _normalize([(((a,) * k, (a + 1,) * k), 0, 1),
+                                         (((a + 1,) * k, (a,) * k), k, -1)], {}),
     # H_{(a^k)} H_{(a^k)} = H_{(a^(k+1))} H_{(a^(k-1))} + q^k H_{((a+1)^k)} H_{((a-1)^k)}
-    "quad": lambda a, k: [(((a,) * k, (a,) * k), 0, 1),
-                          (((a,) * (k + 1), (a,) * (k - 1)), 0, -1),
-                          (((a + 1,) * k, (a - 1,) * k), k, -1)],
+    "quad": lambda a, k: _normalize([(((a,) * k, (a,) * k), 0, 1),
+                                     (((a,) * (k + 1), (a,) * (k - 1)), 0, -1),
+                                     (((a + 1,) * k, (a - 1,) * k), k, -1)], {}),
 }
 
 
@@ -307,12 +352,13 @@ def relation_instance(kind: str, **params) -> OpSum:
     Parameters: com1 (mu, a, b, nu), com2 and move (mu, a, nu), bigmove
     (alpha, beta, gamma) of any three lengths, same-width (a, k, n), one-more
     and quad (a, k).  move is bigmove with the one-entry middle block (a,).
-    A missing or extra parameter is refused with ValueError naming it.
-    Every parameter is checked once here, so the generated words are not."""
-    kind = kind.lower()
-    build = _RELATIONS.get(kind)
-    if build is None:
-        raise ValueError(f"unknown relation kind {kind!r}")
+    The kind is one of these names exactly; any other kind, and a missing
+    or extra parameter, is refused with ValueError naming it.  Every
+    parameter is checked once here, so the generated words are not."""
+    try:
+        build = _RELATIONS[kind]
+    except (KeyError, TypeError):  # TypeError: an unhashable kind
+        raise ValueError(f"unknown relation kind {kind!r}") from None
     names = build.__code__.co_varnames[:build.__code__.co_argcount]
     for key in names:
         if key not in params:
@@ -322,7 +368,7 @@ def relation_instance(kind: str, **params) -> OpSum:
             raise ValueError(f"relation {kind!r} takes no parameter {key!r}")
     params = {key: _entry(v) if key in ("a", "b", "k", "n") else tuple(map(_entry, v))
               for key, v in params.items()}
-    return _from_slots(_normalize(build(**params), {}))
+    return _from_slots(build(**params))
 
 
 # -- evaluation (the independent certificate) ------------------------------
@@ -388,8 +434,9 @@ def _eliminate(word, name: str, relation, finished, measure) -> OpSum:
 
     Words for which finished(w) holds collect in the result.  Each step
     takes the unfinished word with the smallest (measure, word), solves
-    relation(current) == 0 for it and substitutes, straightening the
-    relation's blocks through one table for the whole call.  Every
+    relation(current, straight) == 0 for it and substitutes; the relation
+    comes back as Z[q] slots, straightened through the block table
+    straight, which lives for the whole call.  Every
     unfinished word so produced must keep the factor lengths of the input
     and strictly increase the measure, which is checked as a hard
     termination guard, besides a step budget.  The result must have
@@ -420,7 +467,7 @@ def _eliminate(word, name: str, relation, finished, measure) -> OpSum:
         steps += 1
         if steps > _MAX_STEPS:
             raise RuntimeError(f"{name} exceeded the step budget")
-        rel = _normalize(relation(current), straight)
+        rel = relation(current, straight)
         for w, terms in _replacement(rel, current, coeff).items():
             if finished(w):
                 _add_slot(done.setdefault(w, {}), terms, 1)
@@ -445,13 +492,14 @@ def _eliminate(word, name: str, relation, finished, measure) -> OpSum:
     return out
 
 
-def _strip_relation(word) -> list:
+def _strip_relation(word, straight: dict) -> dict:
     """The strip relation eliminating the junction of a two-factor word:
     com2 when the head of the second factor exceeds the tail of the first
     by one, com1 otherwise."""
     f1, f2 = word
     a, b = f1[-1], f2[0]
-    return _strip_lift(f1[:-1], _com2_row(a) if b == a + 1 else _com1_row(a, b), f2[1:])
+    return _strip_lift(f1[:-1], _com2_row(a) if b == a + 1 else _com1_row(a, b), f2[1:],
+                       straight)
 
 
 def rewrite_dominant(word) -> OpSum:
@@ -476,9 +524,9 @@ def _move_slots(word, name: str, target) -> OpSum:
     checked as a hard termination guard."""
     lo, hi = sorted((len(word[0]), target[0]))
 
-    def relation(w):
+    def relation(w, straight):
         whole = w[0] + w[1]
-        return _bigmove_relation(whole[:lo], whole[lo:hi], whole[hi:])
+        return _bigmove_relation(whole[:lo], whole[lo:hi], whole[hi:], straight)
 
     return _eliminate(word, name, relation,
                       lambda w: (len(w[0]), len(w[1])) == target,

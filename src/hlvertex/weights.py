@@ -3,8 +3,9 @@
 Weights are plain tuples of ints.  The empty tuple is a legal weight of
 length 0 (it indexes the identity operator).  All functions are pure.
 This module owns the library's one integer-weight check, _entry and
-_as_word, which every public entry calls on the weights it is given; the
-other helpers here take trusted weights and check nothing.
+_as_word, which every public entry calls on the weights it is given (a
+word block that is not a sequence is refused too); the other helpers here
+take trusted weights and check nothing.
 """
 
 from __future__ import annotations
@@ -23,7 +24,15 @@ def _entry(x) -> int:
 
 
 def _as_word(word) -> tuple:
-    return tuple(tuple(map(_entry, block)) for block in word)
+    try:
+        return tuple(tuple(map(_entry, block)) for block in word)
+    except TypeError:  # some block is not iterable: name it
+        for block in word:
+            try:
+                iter(block)
+            except TypeError:
+                raise ValueError(f"word block {block!r} is not a sequence") from None
+        raise
 
 
 def rho(k: int) -> tuple:

@@ -28,7 +28,7 @@ from hlvertex import (
     X_TIMES_QM1,
 )
 from hlvertex.kostka import kostka
-from hlvertex.rewrite import OpSum
+from hlvertex.rewrite import OpSum, normalize, rewrite_dominant
 
 # entry point -> a call with the bad entry x in a weight the parent let through
 ENTRIES = {
@@ -150,3 +150,27 @@ class TestRelationParameters:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="^unknown relation kind 'nope'$"):
             relation_instance("nope", a=1)
+
+    @pytest.mark.parametrize("kind", [None, 5, "COM2", ["com2"]],
+                             ids=["none", "int", "upper", "list"])
+    def test_kind_is_taken_exactly(self, kind):
+        message = f"^unknown relation kind {re.escape(repr(kind))}$"
+        with pytest.raises(ValueError, match=message):
+            relation_instance(kind, mu=(2,), a=1, nu=(1,))
+
+
+# entry point -> a call with a word whose blocks are the integers 1 and 2
+FLAT_WORDS = {
+    "rewrite_dominant": lambda w: rewrite_dominant(w),
+    "OpSum": lambda w: OpSum({w: 1}),
+    "normalize": lambda w: normalize({w: 1}),
+    "apply_H_word": lambda w: apply_H_word(w, one()),
+    "kostka": lambda w: kostka((1, 1), w),
+}
+
+
+class TestBlockNotASequence:
+    @pytest.mark.parametrize("name", sorted(FLAT_WORDS))
+    def test_refused_with_the_block_named(self, name):
+        with pytest.raises(ValueError, match="^word block 1 is not a sequence$"):
+            FLAT_WORDS[name]((1, 2))

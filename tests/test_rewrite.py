@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+from operator import add, sub
 
 import pytest
 
@@ -27,7 +28,14 @@ from hlvertex.rewrite import (
 )
 from hlvertex.symfunc import SymFunc, one, schur
 from hlvertex.vertexop import apply_F, apply_H, apply_H_sum, apply_H_word
-from hlvertex.weights import dominant_weights, is_dominant, partitions_of, straighten
+from hlvertex.weights import (
+    dominant_weights,
+    is_dominant,
+    partitions_of,
+    straighten,
+    vertical_strip_grow,
+    vertical_strip_shrink,
+)
 from test_cli import source_env
 
 Q = QRat.q()
@@ -349,6 +357,75 @@ class TestBigmoveGolden:
         assert str(relation_instance("bigmove", alpha=alpha, beta=beta, gamma=gamma)) == want
 
 
+def raw_dual_cauchy(l, k):
+    """prod over i < l, j < k of (1 - q y_i z_j) as one (y, z, exponent,
+    sign) term per 0/1 matrix, by brute force."""
+    out = []
+    for bits in itertools.product((0, 1), repeat=l * k):
+        rows = [bits[i * k:(i + 1) * k] for i in range(l)]
+        y = tuple(sum(r) for r in rows)
+        z = tuple(sum(c) for c in zip(*rows)) if rows else (0,) * k
+        out.append((y, z, sum(bits), -1 if sum(bits) % 2 else 1))
+    return out
+
+
+def raw_strip_lift(mu, row, nu):
+    """The strip lift as a flat list of unstraightened (word, exponent, int)
+    terms, term by term from its definition."""
+    return [((alpha + (a + sum(nu) - sum(beta),), (b - sum(alpha) + sum(mu),) + beta),
+             e, -1 if e % 2 else 1)
+            for alpha in vertical_strip_grow(mu) for beta in vertical_strip_shrink(nu)
+            for a, b, j in row
+            for e in [sum(alpha) - sum(mu) + sum(nu) - sum(beta) + j]]
+
+
+def raw_bigmove(alpha, beta, gamma):
+    """The bigmove relation as a flat list of unstraightened terms."""
+    k, l, m = len(alpha), len(beta), len(gamma)
+    return ([((alpha + tuple(map(add, beta, y)), tuple(map(sub, gamma, z))), e, n)
+             for y, z, e, n in raw_dual_cauchy(l, m)]
+            + [((tuple(map(add, alpha, x)), tuple(map(sub, beta, y)) + gamma), e, -n)
+               for x, y, e, n in raw_dual_cauchy(k, l)])
+
+
+class TestRelationGenerators:
+    """The generators build the straightened slots of their flat raw
+    expansion; one straighten table is shared across each grid, as an
+    elimination shares it across its steps."""
+
+    def test_dual_cauchy_rows(self):
+        for l, k in itertools.product(range(4), repeat=2):
+            want = {}
+            for y, z, e, n in raw_dual_cauchy(l, k):
+                want[y, z, e] = want.get((y, z, e), 0) + n
+            got = {(y, z, e): n for y, e, row in rewrite_module._dual_cauchy(l, k)
+                   for z, n in row}
+            assert got == want, (l, k)
+
+    def test_bigmove(self):
+        # every length triple 1..3; 12 seeded block triples each, entries -1..3
+        rng = random.Random(24)
+        blocks = {n: list(dominant_weights(n, -1, 3)) for n in range(1, 4)}
+        straight = {}
+        for k, l, m in itertools.product(range(1, 4), repeat=3):
+            for _ in range(12):
+                alpha, beta, gamma = (rng.choice(blocks[n]) for n in (k, l, m))
+                got = rewrite_module._bigmove_relation(alpha, beta, gamma, straight)
+                want = rewrite_module._normalize(raw_bigmove(alpha, beta, gamma), {})
+                assert got == want, (alpha, beta, gamma)
+
+    def test_strip_lift(self):
+        blocks = [b for n in range(3) for b in dominant_weights(n, -1, 3)]
+        rows = ([rewrite_module._com1_row(a, b) for a in range(3) for b in range(3)]
+                + [rewrite_module._com2_row(a) for a in range(-1, 3)])
+        straight = {}
+        for mu, nu in itertools.product(blocks, repeat=2):
+            for row in rows:
+                got = rewrite_module._strip_lift(mu, row, nu, straight)
+                want = rewrite_module._normalize(raw_strip_lift(mu, row, nu), {})
+                assert got == want, (mu, row, nu)
+
+
 class TestRewriteDominant:
     def test_worked_example(self):
         got = rewrite_dominant(((2, 2), (4, 1)))
@@ -522,12 +599,13 @@ class TestDriverGuards:
     @pytest.mark.parametrize("name", sorted(GUARDED))
     def test_pivot_must_be_a_unit(self, monkeypatch, name):
         # twice a relation is still zero, but its pivot 2*q^j has no
-        # inverse in Z[q, 1/q]; the generators return raw (word, exponent,
-        # int) terms
+        # inverse in Z[q, 1/q]; the generators return Z[q] slots
+        # {word: {exponent: int}}
         fn, word, _ = GUARDED[name]
         orig = getattr(rewrite_module, RELATION_OF[name])
         monkeypatch.setattr(rewrite_module, RELATION_OF[name],
-                            lambda *args: [(w, e, 2 * n) for w, e, n in orig(*args)])
+                            lambda *args: {w: {e: 2 * n for e, n in slot.items()}
+                                           for w, slot in orig(*args).items()})
         message = f"^pivot .* at {re.escape(format_word(word))} is not a unit$"
         with pytest.raises(RuntimeError, match=message):
             fn(word)
@@ -650,7 +728,7 @@ class TestRewriteWork:
                                 counting(getattr(rewrite_module, gen), "relations"))
         assert not self.run(name, args).is_zero()
         assert counts["relations"] == relations
-        # 808, 369 and 340: one straighten per distinct block per call
+        # 808, 338 and 340: one straighten per distinct block per call
         assert counts["straighten"] < straightens
 
     def test_step_order(self, monkeypatch):
@@ -660,7 +738,8 @@ class TestRewriteWork:
             fn = getattr(rewrite_module, gen)
 
             def wrapped(*args):
-                calls.append(f"{gen}{args!r}")
+                # the trailing argument is the elimination's straighten table
+                calls.append(f"{gen}{args[:-1]!r}")
                 return fn(*args)
             return wrapped
 
