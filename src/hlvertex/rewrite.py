@@ -352,9 +352,10 @@ def relation_instance(kind: str, **params) -> OpSum:
     Parameters: com1 (mu, a, b, nu), com2 and move (mu, a, nu), bigmove
     (alpha, beta, gamma) of any three lengths, same-width (a, k, n), one-more
     and quad (a, k).  move is bigmove with the one-entry middle block (a,).
-    The kind is one of these names exactly; any other kind, and a missing
-    or extra parameter, is refused with ValueError naming it.  Every
-    parameter is checked once here, so the generated words are not."""
+    The kind is one of these names exactly; any other kind, a missing or
+    extra parameter, and a weight parameter that is not a sequence are
+    refused with ValueError naming it.  Every parameter is checked once
+    here, so the generated words are not."""
     try:
         build = _RELATIONS[kind]
     except (KeyError, TypeError):  # TypeError: an unhashable kind
@@ -366,9 +367,13 @@ def relation_instance(kind: str, **params) -> OpSum:
     for key in params:
         if key not in names:
             raise ValueError(f"relation {kind!r} takes no parameter {key!r}")
-    params = {key: _entry(v) if key in ("a", "b", "k", "n") else tuple(map(_entry, v))
-              for key, v in params.items()}
-    return _from_slots(build(**params))
+    checked = {}
+    for key, v in params.items():
+        try:
+            checked[key] = _entry(v) if key in ("a", "b", "k", "n") else tuple(map(_entry, v))
+        except TypeError:  # a weight that is not iterable
+            raise ValueError(f"relation {kind!r} parameter {key!r} is not a sequence") from None
+    return _from_slots(build(**checked))
 
 
 # -- evaluation (the independent certificate) ------------------------------

@@ -11,9 +11,11 @@ contribute.  It is computed as the linear extension of a memoized kernel
 on Schur functions over Z[q], one row of nu at a time: H_nu = sum over
 j >= 0 of q^j S_{nu_1+j} H_{nu[1:]} h_j-perp, where h_j-perp removes a
 horizontal strip of size j and Bernstein's S_a s_rho = s_{(a, rho)} is a
-signed Schur function after straightening (see _H_schur).  Every word
-and every Z[q]-combination of words runs through one Z[q] core,
-_act_into, which adds scale * H_nu(vec) into a caller's slot dict;
+signed Schur function after straightening (see _H_schur); the strips of
+each kappa are memoized as (tau, j) pairs.  Every word and every
+Z[q]-combination of words runs through one Z[q] core, _act_into, which
+adds scale * H_nu(vec) into a caller's slot dict; the kernel fill and
+_act_into add each term inline into its exponent -> int slot, and
 apply_H_sum folds each word's signs and coefficient into that scale and
 builds QRat only for its output.  The Kostka vertex engine's memoized
 vectors of block words applied to 1 are built here too, by _word_on_one.
@@ -26,7 +28,7 @@ from __future__ import annotations
 import itertools
 from types import MappingProxyType
 
-from .coeffs import QPoly, QRat, _add_slot, _add_term
+from .coeffs import QPoly, QRat, _add_term
 from .memo import memo
 from .symfunc import (
     SCHUR,
@@ -41,21 +43,27 @@ from .weights import _as_word, _entry, is_dominant, straighten, trim_zeros
 
 
 def _frozen(acc: dict) -> MappingProxyType:
-    """acc as read-only {index: ((exponent, coefficient), ...)}, zeros dropped."""
-    return MappingProxyType({idx: terms for idx, slot in acc.items()
-                             if (terms := tuple((e, v) for e, v in slot.items() if v))})
+    """acc as read-only {index: ((exponent, coefficient), ...)}, zeros
+    dropped: a slot with no zero is copied as it is, only a slot holding
+    a zero is filtered, and a slot left empty is dropped."""
+    return MappingProxyType({idx: terms for idx, slot in acc.items() if (
+        terms := tuple(slot.items()) if 0 not in slot.values()
+        else tuple((e, v) for e, v in slot.items() if v))})
 
 
 # the Z[q] polynomial 1
 _UNIT = ((0, 1),)
 
 
-def _strips_below(sigma):
-    """Yield the partitions tau with sigma/tau a horizontal strip, of any
-    size: those interlacing sigma, sigma_{i+1} <= tau_i <= sigma_i."""
+@memo
+def _strips_below(sigma) -> tuple:
+    """The (tau, |sigma/tau|) pairs with sigma/tau a horizontal strip, of
+    any size: tau interlaces sigma, sigma_{i+1} <= tau_i <= sigma_i.
+    Memoized, so each sigma's strips and sizes are listed once."""
+    size = sum(sigma)
     floors = sigma[1:] + (0,)
-    for tau in itertools.product(*(range(lo, hi + 1) for lo, hi in zip(floors, sigma))):
-        yield trim_zeros(tau)
+    return tuple((trim_zeros(tau), size - sum(tau)) for tau in
+                 itertools.product(*(range(lo, hi + 1) for lo, hi in zip(floors, sigma))))
 
 
 @memo
@@ -86,30 +94,44 @@ def _H_schur(nu, kappa) -> MappingProxyType:
     So H_nu = sum over gamma of q^|gamma| S_{nu + gamma} h_gamma-perp; the
     h_j-perp commute, and splitting off gamma_1 = j gives the recursion,
     whose sub-kernels every block with the tail nu[1:] shares.  This
-    holds for negative entries of nu too."""
+    holds for negative entries of nu too.  The fill takes a = nu_1 + j
+    once per memoized (tau, j) pair and adds each signed, shifted term
+    of the sub-kernel inline into its slot."""
     if not nu:
         return MappingProxyType({kappa: _UNIT})
+    head, tail = nu[0], nu[1:]
     acc: dict = {}
-    size = sum(kappa)
-    for tau in _strips_below(kappa):
-        j = size - sum(tau)
-        for rho, terms in _H_schur(nu[1:], tau).items():
-            sign, lam = _bernstein(nu[0] + j, rho)
+    for tau, j in _strips_below(kappa):
+        a = head + j
+        for rho, terms in _H_schur(tail, tau).items():
+            sign, lam = _bernstein(a, rho)
             if sign:
-                _add_slot(acc.setdefault(lam, {}), terms, sign, j)
+                slot = acc.get(lam)
+                if slot is None:
+                    acc[lam] = slot = {}
+                for e, v in terms:
+                    e += j
+                    slot[e] = slot.get(e, 0) + sign * v
     return _frozen(acc)
 
 
 def _act_into(nu, vec, out: dict, scale) -> None:
     """out += scale * H_nu(vec) on Z[q] slots, for a dominant nu: vec as
     (kappa, (exponent, coefficient) pairs) items, scale as (exponent, int)
-    pairs and out as {kappa: {exponent: int}}, where zeros are left."""
+    pairs and out as {kappa: {exponent: int}}, where zeros are left.  Each
+    (shift, multiplier) pair walks the kernel image once and adds its
+    terms inline, with no helper call per term."""
     for kappa, poly in vec:
         mult = [(s + t, w * c) for s, w in poly if w for t, c in scale]
-        for idx, terms in _H_schur(nu, kappa).items():
-            slot = out.setdefault(idx, {})
-            for shift, m in mult:
-                _add_slot(slot, terms, m, shift)
+        image = _H_schur(nu, kappa).items()
+        for shift, m in mult:
+            for idx, terms in image:
+                slot = out.get(idx)
+                if slot is None:
+                    out[idx] = slot = {}
+                for e, v in terms:
+                    e += shift
+                    slot[e] = slot.get(e, 0) + m * v
 
 
 @memo

@@ -26,8 +26,12 @@ def _entry(x) -> int:
 def _as_word(word) -> tuple:
     try:
         return tuple(tuple(map(_entry, block)) for block in word)
-    except TypeError:  # some block is not iterable: name it
-        for block in word:
+    except TypeError:  # the word or some block is not iterable: name it
+        try:
+            blocks = iter(word)
+        except TypeError:
+            raise ValueError(f"word {word!r} is not a sequence of blocks") from None
+        for block in blocks:
             try:
                 iter(block)
             except TypeError:

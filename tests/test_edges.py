@@ -151,6 +151,15 @@ class TestRelationParameters:
         with pytest.raises(ValueError, match="^unknown relation kind 'nope'$"):
             relation_instance("nope", a=1)
 
+    @pytest.mark.parametrize("kind", ["com1", "com2", "move", "bigmove"])
+    def test_weight_not_a_sequence_is_named(self, kind):
+        for name, value in self.PARAMS[kind].items():
+            if isinstance(value, tuple):
+                params = dict(self.PARAMS[kind], **{name: 5})
+                message = f"^relation {kind!r} parameter {name!r} is not a sequence$"
+                with pytest.raises(ValueError, match=message):
+                    relation_instance(kind, **params)
+
     @pytest.mark.parametrize("kind", [None, 5, "COM2", ["com2"]],
                              ids=["none", "int", "upper", "list"])
     def test_kind_is_taken_exactly(self, kind):
@@ -174,3 +183,8 @@ class TestBlockNotASequence:
     def test_refused_with_the_block_named(self, name):
         with pytest.raises(ValueError, match="^word block 1 is not a sequence$"):
             FLAT_WORDS[name]((1, 2))
+
+    @pytest.mark.parametrize("name", sorted(FLAT_WORDS))
+    def test_word_not_a_sequence_is_named(self, name):
+        with pytest.raises(ValueError, match="^word 5 is not a sequence of blocks$"):
+            FLAT_WORDS[name](5)

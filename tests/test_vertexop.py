@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import random
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,6 +31,7 @@ from hlvertex.symfunc import (
 )
 from hlvertex.vertexop import (
     _bernstein,
+    _frozen,
     _H_schur,
     _strips_below,
     apply_B,
@@ -142,8 +144,12 @@ def _peel(kappa, k: int) -> tuple:
         return ((((), kappa), 1),)
     out: dict = {}
     size = sum(kappa)
-    for tau in _strips_below(kappa):
+    # its own interlacing loop, kappa_{i+1} <= tau_i <= kappa_i, so that
+    # this oracle shares no strip code with the kernel
+    floors = kappa[1:] + (0,)
+    for tau in itertools.product(*(range(lo, hi + 1) for lo, hi in zip(floors, kappa))):
         j = size - sum(tau)
+        tau = trim_zeros(tau)
         for (gamma, rho), m in _peel(tau, k - 1):
             key = ((j,) + gamma, rho)
             out[key] = out.get(key, 0) + m
@@ -196,6 +202,41 @@ class TestPeel:
         for d in range(7):
             for kappa in partitions_of(d):
                 assert _peel(kappa, 0) == ((((), kappa), 1),)
+
+
+def column_lengths(lam, width: int) -> tuple:
+    return tuple(sum(1 for part in lam if part > c) for c in range(width))
+
+
+class TestStripsBelow:
+    def test_against_column_condition(self):
+        # kappa/tau is a horizontal strip iff no column of kappa loses two
+        # boxes; tau runs over every partition inside kappa
+        for d in range(8):
+            for kappa in partitions_of(d):
+                width = kappa[0] if kappa else 0
+                cols = column_lengths(kappa, width)
+                want = set()
+                for e in range(d + 1):
+                    for tau in partitions_of(e, len(kappa), width):
+                        if all(t <= k for t, k in zip(tau, kappa)) and all(
+                                a - b <= 1 for a, b in zip(cols, column_lengths(tau, width))):
+                            want.add((tau, d - e))
+                got = _strips_below(kappa)
+                assert len(got) == len(set(got)), kappa
+                assert set(got) == want, kappa
+
+
+class TestFrozen:
+    def test_zero_terms_and_all_zero_slots_are_dropped(self):
+        image = _frozen({(2,): {0: 1, 1: 0, 3: -2}, (1, 1): {0: 0, 2: 0},
+                         (1,): {5: 4, 6: -1}, (): {}})
+        assert isinstance(image, MappingProxyType)
+        assert dict(image) == {(2,): ((0, 1), (3, -2)), (1,): ((5, 4), (6, -1))}
+
+    def test_slot_without_zero_keeps_its_terms(self):
+        image = _frozen({(3, 1): {2: 1, 0: -3, 7: 2}})
+        assert dict(image) == {(3, 1): ((2, 1), (0, -3), (7, 2))}
 
 
 class TestRowRecursion:
@@ -284,6 +325,14 @@ class TestKernelGolden:
                     pairs += 1
         assert pairs == 390
         assert h.hexdigest() == GOLDEN_KERNEL_SHA256
+
+    def test_kernel_holds_no_zero(self):
+        clear_caches()
+        for nu in GOLDEN_BLOCKS:
+            for d in range(7):
+                for kappa in partitions_of(d):
+                    for idx, terms in _H_schur(nu, kappa).items():
+                        assert terms and all(v for _, v in terms), (nu, kappa, idx)
 
 
 # SHA-256 over str() of apply_F(s_lam) and apply_F(s_lam, inverse=True) for
