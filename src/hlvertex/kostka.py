@@ -12,6 +12,7 @@ the library's central cross-check; neither uses the other.
 from __future__ import annotations
 
 import itertools
+import math
 
 from .coeffs import QPoly, _add_slot
 from .memo import memo
@@ -157,7 +158,8 @@ def kostka_kostant(lam, gamma) -> QPoly:
     decreases, so does d_i over the free values, and the first failing
     value ends the scan.  Choosing a value adds the still-unused smaller
     values to the inversion count.  A walk of more than _MAX_WALK_NODES
-    nodes raises ValueError.
+    nodes raises ValueError, from a frontier-free counting pass first when
+    the unpruned tree, sum over k of n!/(n-k)!, could pass that budget.
     """
     return _kostka_kostant(*_validate_key(lam, gamma))
 
@@ -182,7 +184,7 @@ def _kostka_kostant(lam, gamma, eta) -> QPoly:
             raise ValueError(f"the Kostant walk at rank {n} passes {_MAX_WALK_NODES} "
                              "nodes; use method=\"vertex\" (--method vertex)")
         if i in ends:
-            frontier = _advance(frontier, d[start:i], prefix[start:i])
+            frontier = advance(frontier, d[start:i], prefix[start:i])
             start, floor = i, prefix[i - 1]
         if i == n:
             _add_slot(coeffs, frontier[(), ()].items(), -1 if inversions % 2 else 1)
@@ -202,6 +204,12 @@ def _kostka_kostant(lam, gamma, eta) -> QPoly:
             used[v] = False
             smaller += 1
 
+    if math.factorial(n) > _MAX_WALK_NODES / math.e:  # e * n! > sum of n!/(n-k)!
+        # the cuts never read the frontier, so an empty one visits the same nodes
+        advance = lambda frontier, d_block, prefix_block: frontier  # noqa: E731
+        walk(0, 0, {((), ()): {}}, 0, 0)
+        nodes = itertools.count(1)
+    advance = _advance
     walk(0, 0, {((), ()): {0: 1}}, 0, 0)
     return QPoly(coeffs)
 

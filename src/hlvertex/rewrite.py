@@ -27,15 +27,15 @@ The relation generators build each relation straightened, as Z[q] slots
 {word: {exponent: int}}, through a table of straightened blocks that one
 elimination keeps for its whole call, so every distinct block is
 straightened once per call and no raw term list is built.  The
-elimination runs on these slots and builds one QPoly per output word at
-the end.
+elimination solves each relation in place on these slots, keeps each
+queued word's measure, and builds one QPoly per output word at the end.
 """
 
 from __future__ import annotations
 
 from operator import add, sub
 
-from .coeffs import QPoly, QRat, _add_slot, _add_term
+from .coeffs import QPoly, QRat, _add_term
 from .memo import memo
 from .symfunc import SymFunc, format_linear, schur
 from .vertexop import apply_H_sum
@@ -419,76 +419,77 @@ def _concat_dominant(word) -> bool:
     return f1[-1] >= f2[0]
 
 
-def _replacement(rel: dict, word, coeff: dict) -> dict:
-    """Solve rel == 0 for word and scale by coeff, on the Z[q] slots of
-    _normalize: coeff * word == sum of -(coeff * c/c0) * other words, where
-    the pivot c0 must be a unit u*q^j (u = +-1), so that -1/c0 = -u*q^-j.
-    Returns {word: [(exponent, int), ...]}, leaving out words whose slot
-    cancels."""
-    pivot = [(e, v) for e, v in rel.get(word, {}).items() if v]
-    if len(pivot) != 1 or abs(pivot[0][1]) != 1:
-        raise RuntimeError(f"pivot {QPoly(dict(pivot))} at {format_word(word)} is not a unit")
-    (j, u), = pivot
-    factor = [(s - j, -u * v) for s, v in coeff.items() if v]
-    return {w: [(s + e, v * c) for s, v in factor for e, c in slot.items() if c]
-            for w, slot in rel.items() if w != word and any(slot.values())}
-
-
 def _eliminate(word, name: str, relation, finished, measure) -> OpSum:
     """The worklist shared by the rewriting algorithms.
 
     Words for which finished(w) holds collect in the result.  Each step
-    takes the unfinished word with the smallest (measure, word), solves
-    relation(current, straight) == 0 for it and substitutes; the relation
-    comes back as Z[q] slots, straightened through the block table
-    straight, which lives for the whole call.  Every
-    unfinished word so produced must keep the factor lengths of the input
-    and strictly increase the measure, which is checked as a hard
-    termination guard, besides a step budget.  The result must have
-    coefficients in Z[q].
+    takes the unfinished word with the smallest (measure, word) and solves
+    relation(current, straight) == 0 for it in place: the relation comes
+    as Z[q] slots, straightened through the block table straight, which
+    lives for the whole call; its pivot must be a unit u*q^j (u = +-1),
+    and every other slot, times -u*q^-j*coeff, is added straight into its
+    word's slot.  Every unfinished word so produced must keep the factor
+    lengths of the input and strictly increase the measure, which is
+    checked as a hard termination guard, besides a step budget.  The
+    result must have coefficients in Z[q].
 
     Coefficients stay Z[q] slots until each output word gets one QPoly.
-    Words enter a heap once, keyed (measure, word); a queued word whose
-    slot cancels is dropped without a step.
+    Words enter a heap once, keyed (measure, word), and keep that measure,
+    against which a repeat occurrence is checked; a queued word whose slot
+    cancels is dropped without a step.
     """
     import heapq  # on use: keeps the CLI's import light
 
     shape = (len(word[0]), len(word[1]))
-    pending: dict = {}
+    pending: dict = {}  # word -> (measure, slot)
     done: dict = {}
     heap: list = []
     if finished(word):
         done[word] = {0: 1}
     else:
-        pending[word] = {0: 1}
-        heap.append((measure(word), word))
+        pending[word] = (m := measure(word), {0: 1})
+        heap.append((m, word))
     straight: dict = {}
     steps = 0
     while heap:
         m, current = heapq.heappop(heap)
-        coeff = pending.pop(current)
+        coeff = pending.pop(current)[1]
         if not any(coeff.values()):
             continue
         steps += 1
         if steps > _MAX_STEPS:
             raise RuntimeError(f"{name} exceeded the step budget")
         rel = relation(current, straight)
-        for w, terms in _replacement(rel, current, coeff).items():
-            if finished(w):
-                _add_slot(done.setdefault(w, {}), terms, 1)
+        pivot = [(e, v) for e, v in rel.get(current, {}).items() if v]
+        if len(pivot) != 1 or abs(pivot[0][1]) != 1:
+            raise RuntimeError(
+                f"pivot {QPoly(dict(pivot))} at {format_word(current)} is not a unit")
+        (j, u), = pivot
+        factor = [(s - j, -u * v) for s, v in coeff.items() if v]
+        for w, terms in rel.items():
+            if w == current or not any(terms.values()):
                 continue
-            lengths = (len(w[0]), len(w[1]))
-            if lengths != shape:
-                raise RuntimeError(f"unexpected factor lengths {lengths}")
-            mw = measure(w)
-            if mw <= m:
-                raise RuntimeError(
-                    f"termination measure failed to increase at {format_word(w)}")
-            slot = pending.get(w)
+            slot = done.get(w)
             if slot is None:
-                slot = pending[w] = {}
-                heapq.heappush(heap, (mw, w))
-            _add_slot(slot, terms, 1)
+                queued = pending.get(w)
+                if queued is None and finished(w):
+                    slot = done[w] = {}
+                else:
+                    if queued is None:
+                        lengths = (len(w[0]), len(w[1]))
+                        if lengths != shape:
+                            raise RuntimeError(f"unexpected factor lengths {lengths}")
+                        queued = pending[w] = (measure(w), {})
+                        heapq.heappush(heap, (queued[0], w))
+                    if queued[0] <= m:
+                        raise RuntimeError(
+                            f"termination measure failed to increase at {format_word(w)}")
+                    slot = queued[1]
+            for e, c in terms.items():
+                if c:
+                    for s, v in factor:
+                        k = s + e
+                        slot[k] = slot.get(k, 0) + v * c
     out = _from_slots(done)
     for w, c in out._terms.items():
         if c.valuation() < 0:

@@ -229,6 +229,20 @@ class TestEngines:
         assert kostka_kostant((1000,) + (0,) * 9, ((100,) * 10,)).is_zero()
         assert counted == []
 
+    @pytest.mark.parametrize("n", [12, 200])  # 200! is past any float
+    def test_refused_key_advances_no_frontier(self, monkeypatch, n):
+        # the frontier-free counting pass refuses the singleton key before
+        # the walk advances anything
+        counted = self.advanced_positions(monkeypatch)
+        message = (f"^the Kostant walk at rank {n} passes 100000 nodes; "
+                   'use method="vertex" \\(--method vertex\\)$')
+        with pytest.raises(ValueError, match=message):
+            kostka_kostant((n,) + (0,) * (n - 1), ((1,),) * n)
+        assert counted == []
+
+    def test_rank_11_singleton_within_budget(self):
+        assert kostka_kostant((11,) + (0,) * 10, ((1,),) * 11) == QPoly({55: 1})
+
     def test_engines_agree_n5_grid_and_n6_sample(self):
         for eta in compositions(5):
             for d in range(0, 7):

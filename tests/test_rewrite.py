@@ -592,6 +592,14 @@ RELATION_OF = {
     "swap_factors": "_bigmove_relation",
 }
 
+# name -> an unfinished word with the factor lengths and the measure of the
+# rewriter's GUARDED input
+TWIN_OF = {
+    "rewrite_dominant": ((2,), (4,)),
+    "shift_support": ((4, 0), (2,)),
+    "swap_factors": ((3, 0), (3,)),
+}
+
 
 class TestDriverGuards:
     """The shared worklist's guards, reached by sabotaging its inputs."""
@@ -619,33 +627,59 @@ class TestDriverGuards:
 
     @pytest.mark.parametrize("name", sorted(GUARDED))
     def test_measure_must_move(self, monkeypatch, name):
-        # handing back the eliminated word leaves the measure where it was;
-        # _replacement maps words to (exponent, int) pairs
+        # solving for the input word hands back its twin, another unfinished
+        # word of the same factor lengths and the same measure
         fn, word, _ = GUARDED[name]
-        monkeypatch.setattr(rewrite_module, "_replacement",
-                            lambda rel, w, coeff: {w: coeff.items()})
-        message = f"termination measure failed to increase at {format_word(word)}"
+        twin = TWIN_OF[name]
+        monkeypatch.setattr(rewrite_module, RELATION_OF[name],
+                            lambda *args: {word: {0: 1}, twin: {0: 1}})
+        message = f"termination measure failed to increase at {format_word(twin)}"
         with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
             fn(word)
 
     @pytest.mark.parametrize("name", ["shift_support", "swap_factors"])
     def test_unexpected_factor_lengths(self, monkeypatch, name):
         fn, word, _ = GUARDED[name]
-        monkeypatch.setattr(rewrite_module, "_replacement",
-                            lambda rel, w, coeff: {((1, 0, 0), ()): coeff.items()})
+        monkeypatch.setattr(rewrite_module, RELATION_OF[name],
+                            lambda *args: {word: {0: 1}, ((1, 0, 0), ()): {0: 1}})
         with pytest.raises(RuntimeError, match=r"^unexpected factor lengths \(3, 0\)$"):
             fn(word)
 
     @pytest.mark.parametrize("name", sorted(GUARDED))
     def test_result_must_be_integral(self, monkeypatch, name):
+        # word == q^-1 * end, so end collects q^-1
         fn, word, end = GUARDED[name]
         c = QPoly({-1: 1})
-        monkeypatch.setattr(rewrite_module, "_replacement",
-                            lambda rel, w, coeff: {end: [(-1, 1)]})
+        monkeypatch.setattr(rewrite_module, RELATION_OF[name],
+                            lambda *args: {word: {0: 1}, end: {-1: -1}})
         message = (f"{name} produced a non-polynomial coefficient {c} "
                    f"at {format_word(end)}")
         with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
             fn(word)
+
+    def test_repeat_occurrence_must_move(self):
+        # toy words under a measure that is not injective: eliminating A
+        # queues B and C at measure 1, and the relation solved for B names C
+        # again, which is queued at the measure being eliminated
+        A, B, C, D, END = (((x,), (0,)) for x in range(5))
+        measure = {A: 0, B: 1, C: 1, D: 2}.get
+        relations = {A: {A: {0: 1}, B: {0: 1}, C: {1: 1}},
+                     B: {B: {0: 1}, C: {0: 1}},
+                     C: {C: {0: -1}, END: {0: 1}},
+                     D: {D: {0: 1}, END: {2: -1}}}
+
+        def run():
+            return rewrite_module._eliminate(A, "toy", lambda w, straight: relations[w],
+                                             lambda w: w == END, measure)
+
+        message = f"termination measure failed to increase at {format_word(C)}"
+        with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+            run()
+        # a repeat of a queued word above the current measure is accepted:
+        # A = -B - qC, B = -D, C = END + D and D = q^2 END
+        relations[B] = {B: {0: 1}, D: {0: 1}}
+        relations[C] = {C: {0: -1}, END: {0: 1}, D: {0: 1}}
+        assert run() == OpSum({END: QPoly({1: -1, 2: 1, 3: -1})})
 
 
 class TestNonIntegerEntries:

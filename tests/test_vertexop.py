@@ -4,6 +4,7 @@ import functools
 import hashlib
 import itertools
 import random
+import sys
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -11,13 +12,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hlvertex import symfunc as symfunc_module
+from hlvertex import vertexop as vertexop_module
 from hlvertex.coeffs import QPoly, QRat
 from hlvertex.memo import clear_caches
 from hlvertex.symfunc import (
     SCHUR,
     SymFunc,
     X_OVER_QM1,
+    X_TIMES_1MQ,
     X_TIMES_QM1,
+    convert,
     elementary_perp,
     homogeneous,
     multiply,
@@ -530,3 +534,61 @@ class TestTwistAndJing:
             for block in reversed(gamma):
                 f = apply_B(block, f)
             assert apply_F(f, inverse=True) == apply_H_word(gamma, one())
+
+
+def jing_series(n, f):
+    """Jing's B_n on f from his generating series, with no vertexop code:
+    B(z) = exp(sum (1-q^k)/k p_k z^k) exp(-sum d/dp_k z^-k) (Jing 1991,
+    Adv. Math. 87; Macdonald III.5), so B_n = sum over j >= 0 of
+    (-1)^j h_{n+j}[X(1-q)] e_j-perp.  e_j-perp kills f past its degree,
+    and h_k is zero for k < 0."""
+    out = SymFunc.zero(SCHUR)
+    for j in range(max(0, -n), (f.degree() or 0) + 1):
+        twisted = plethysm_substitute(homogeneous(n + j), X_TIMES_1MQ)
+        term = multiply(twisted, elementary_perp(j, f))
+        out = out - term if j % 2 else out + term
+    return convert(out, SCHUR)
+
+
+# one-row Jing operators checked against the series: B_n on every s_p
+JING_ROWS = range(-2, 4)
+JING_INPUTS = [p for d in range(5) for p in partitions_of(d)]
+# one-row B words on 1
+JING_WORDS = [w for k in (1, 2, 3) for w in itertools.product(range(-1, 3), repeat=k)]
+
+
+class TestJingSeries:
+    """apply_B is H conjugated by the twist X -> X(1-q), so a fault in the
+    H kernel reaches both sides of criterion 8; Jing's series is a route
+    to B that shares no vertexop code with it."""
+
+    @pytest.mark.parametrize("n", JING_ROWS)
+    def test_one_row_operator(self, n):
+        for p in JING_INPUTS:
+            assert jing_series(n, schur(p)) == apply_B((n,), schur(p)), p
+
+    def test_one_row_words_on_one(self):
+        for word in JING_WORDS:
+            got = want = one()
+            for n in reversed(word):
+                got, want = jing_series(n, got), apply_B((n,), want)
+            assert got == want, word
+
+    def test_series_calls_no_vertexop(self):
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename == vertexop_module.__file__:
+                calls.append(frame.f_code.co_name)
+
+        clear_caches()
+        sys.setprofile(profile)
+        try:
+            for n in JING_ROWS:
+                for p in JING_INPUTS:
+                    jing_series(n, schur(p))
+            assert not calls, calls
+            apply_B((1,), schur((1,)))  # the hook does see vertexop calls
+        finally:
+            sys.setprofile(None)
+        assert "_H_schur" in calls
