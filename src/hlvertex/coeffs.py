@@ -90,10 +90,7 @@ class QPoly:
         return self._c.get(exp, 0)
 
     def content(self) -> int:
-        g = 0
-        for v in self._c.values():
-            g = math.gcd(g, v)
-        return g
+        return math.gcd(*self._c.values())
 
     # -- arithmetic ---------------------------------------------------
 

@@ -353,9 +353,10 @@ def relation_instance(kind: str, **params) -> OpSum:
     (alpha, beta, gamma) of any three lengths, same-width (a, k, n), one-more
     and quad (a, k).  move is bigmove with the one-entry middle block (a,).
     The kind is one of these names exactly; any other kind, a missing or
-    extra parameter, and a weight parameter that is not a sequence are
-    refused with ValueError naming it.  Every parameter is checked once
-    here, so the generated words are not."""
+    extra parameter, a weight parameter that is not a sequence, k or n
+    below 1, and a non-dominant mu or nu of com1 or com2 (the strip lift
+    assumes both dominant) are refused with ValueError naming it.  Every
+    parameter is checked once here, so the generated words are not."""
     try:
         build = _RELATIONS[kind]
     except (KeyError, TypeError):  # TypeError: an unhashable kind
@@ -373,6 +374,13 @@ def relation_instance(kind: str, **params) -> OpSum:
             checked[key] = _entry(v) if key in ("a", "b", "k", "n") else tuple(map(_entry, v))
         except TypeError:  # a weight that is not iterable
             raise ValueError(f"relation {kind!r} parameter {key!r} is not a sequence") from None
+    for key in ("k", "n"):
+        if checked.get(key, 1) < 1:
+            raise ValueError(f"relation {kind!r} parameter {key!r} must be at least 1")
+    if kind in ("com1", "com2"):
+        for key in ("mu", "nu"):
+            if not is_dominant(checked[key]):
+                raise ValueError(f"relation {kind!r} parameter {key!r} is not dominant")
     return _from_slots(build(**checked))
 
 

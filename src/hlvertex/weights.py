@@ -170,14 +170,9 @@ def partitions_of(n: int, max_len=None, max_part=None):
 
 
 def dominant_weights(length: int, lo: int, hi: int):
-    """Yield all weakly decreasing tuples of the given length with entries
-    in [lo, hi]."""
-    if length == 0:
-        yield ()
-        return
-    for first in range(hi, lo - 1, -1):
-        for rest in dominant_weights(length - 1, lo, first):
-            yield (first,) + rest
+    """All weakly decreasing tuples of the given length with entries in
+    [lo, hi], as an iterator in decreasing lexicographic order."""
+    return itertools.combinations_with_replacement(range(hi, lo - 1, -1), length)
 
 
 # -- text notation ------------------------------------------------------

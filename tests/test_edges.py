@@ -160,6 +160,21 @@ class TestRelationParameters:
                 with pytest.raises(ValueError, match=message):
                     relation_instance(kind, **params)
 
+    @pytest.mark.parametrize("kind,params,name", [
+        ("quad", dict(a=1, k=0), "k"),
+        ("quad", dict(a=1, k=-1), "k"),
+        ("one-more", dict(a=1, k=-2), "k"),
+        ("same-width", dict(a=1, k=1, n=0), "n"),
+        ("com2", dict(mu=(0, 1), a=0, nu=()), "mu"),
+        ("com1", dict(mu=(), a=0, b=2, nu=(0, 1)), "nu"),
+    ])
+    def test_parameter_outside_the_domain_is_named(self, kind, params, name):
+        # each of these once built a sum that is not the zero operator:
+        # (a,) * k is () for k < 1, and the strip lift needs dominant mu, nu
+        message = f"^relation {kind!r} parameter {name!r} (must be at least 1|is not dominant)$"
+        with pytest.raises(ValueError, match=message):
+            relation_instance(kind, **params)
+
     @pytest.mark.parametrize("kind", [None, 5, "COM2", ["com2"]],
                              ids=["none", "int", "upper", "list"])
     def test_kind_is_taken_exactly(self, kind):

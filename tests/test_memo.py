@@ -1,10 +1,13 @@
-"""The memo mechanism: clearing, normalized keys, plain functions."""
+"""The memo mechanism: clearing, normalized keys, the cache registry."""
 
-import types
+import importlib
+import pkgutil
 
+import hlvertex
 from hlvertex.coeffs import QRat
-from hlvertex.kostka import kostka_kostant, kostka_vertex
-from hlvertex.memo import clear_caches, memo
+from hlvertex.kostka import kostka, kostka_kostant, kostka_vertex
+from hlvertex.memo import _CACHES, clear_caches, memo
+from hlvertex.rewrite import rewrite_dominant, swap_factors
 from hlvertex.symfunc import (
     X_TIMES_QM1,
     plethysm_substitute,
@@ -45,7 +48,6 @@ def test_memo_returns_a_plain_function_that_caches():
         return x * x
 
     cached = memo(square)
-    assert isinstance(cached, types.FunctionType)
     assert (cached.__name__, cached.__module__, cached.__doc__) == (
         "square", __name__, "Square x.")
     assert cached(3) == cached(3) == 9
@@ -53,6 +55,39 @@ def test_memo_returns_a_plain_function_that_caches():
     clear_caches()
     assert cached(3) == 9
     assert calls == [3, 3]
+
+
+def _namespace_caches() -> dict:
+    """Every object with cache_clear in an hlvertex module namespace, by
+    its qualified name in that namespace."""
+    modules = [hlvertex] + [importlib.import_module(f"hlvertex.{m.name}")
+                            for m in pkgutil.iter_modules(hlvertex.__path__)]
+    return {f"{module.__name__}.{name}": value
+            for module in modules
+            for name, value in vars(module).items()
+            if hasattr(value, "cache_clear")}
+
+
+def test_every_cache_is_registered_and_private():
+    caches = _namespace_caches()
+    assert len(caches) >= 12
+    for qualified, cached in caches.items():
+        assert cached in _CACHES, qualified
+        assert qualified.rsplit(".", 1)[1].startswith("_"), qualified
+
+
+def test_clear_caches_empties_every_registered_cache():
+    kostka((3, 1, 0), ((2,), (1, 1)), "both")
+    apply_H((2, 1), schur((2, 1)))
+    rewrite_dominant(((1,), (2, 1)))
+    swap_factors(((2, 1), (1,)))
+    skew_schur_expansion((3, 1), (1,))
+    plethysm_substitute(schur((2, 1)), X_TIMES_QM1)
+    for qualified, cached in _namespace_caches().items():
+        assert cached.cache_info().currsize > 0, qualified
+    clear_caches()
+    for cached in _CACHES:
+        assert cached.cache_info().currsize == 0, cached.__qualname__
 
 
 def test_clear_caches_empties_the_power_substitution_values(monkeypatch):

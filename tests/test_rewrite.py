@@ -153,6 +153,17 @@ class TestRelationInstances:
                     assert not rel.is_zero()
                     assert operators_equal(rel, OpSum(), 3), (alpha, beta, gamma)
 
+    @pytest.mark.parametrize("kind,params", [
+        ("move", dict(mu=(-1, 1), a=1, nu=(-1, -1))),
+        ("bigmove", dict(alpha=(-1, 1), beta=(1, 0), gamma=(-1, -1))),
+    ])
+    def test_move_and_bigmove_take_non_dominant_blocks(self, kind, params):
+        # unlike the strip lift of com1 and com2, the Cauchy-twisted moves
+        # do not assume dominant blocks, so relation_instance leaves them open
+        rel = relation_instance(kind, **params)
+        assert not rel.is_zero()
+        assert operators_equal(rel, OpSum(), 3)
+
 
 def oracle_sum(terms, f):
     """sum of c * word(f), one word and one Schur term of f at a time in
