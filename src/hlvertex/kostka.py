@@ -4,9 +4,10 @@ The Kostant engine antisymmetrizes a block-triangular partition-function
 count: a depth-first walk over the symmetric group advances one forward
 count over multisets of unspent supplies block by block, so permutations
 sharing a prefix share its count, and refuses past a fixed node budget.
-The vertex engine reads Schur coefficients off a composite of
-Hall-Littlewood vertex operators applied to 1.  Agreement of the two is
-the library's central cross-check; neither uses the other.
+The vertex engine reads the one Schur coefficient of s_lam in a composite
+of Hall-Littlewood vertex operators applied to 1.  Agreement of the two is
+the library's central cross-check; neither uses the other.  A key frees
+all it builds by reference counting: no call leaves a cycle.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 
 from .coeffs import QPoly, _add_slot
 from .memo import memo
-from .vertexop import _word_on_one
+from .vertexop import _word_coefficient
 from .weights import (
     _as_word,
     _entry,
@@ -87,10 +88,17 @@ def _advance(frontier, d_block, prefix_block) -> dict:
     last = len(d_block) - 1
     for k, dj in enumerate(d_block):
         cap = min(prefix_block[k:])
+        closes = k == last
         nxt: dict = {}
         for (earlier, own), series in frontier.items():
-            for (state, taken), ways in _moves(earlier, own, dj, cap, k == last).items():
-                _add_slot(nxt.setdefault(state, {}), series.items(), ways, taken)
+            terms = series.items()
+            for (state, taken), ways in _moves(earlier, own, dj, cap, closes).items():
+                slot = nxt.get(state)
+                if slot is None:
+                    nxt[state] = slot = {}
+                for e, v in terms:
+                    e += taken
+                    slot[e] = slot.get(e, 0) + ways * v
         frontier = nxt
     return frontier
 
@@ -123,8 +131,11 @@ def _moves(earlier, own, dj, cap, closes) -> dict:
             left[si] = supply - take
             distribute(si + 1, taken + take, avail - supply)
 
-    if max_in >= need:
-        distribute(0, 0, sum(earlier))
+    try:
+        if max_in >= need:
+            distribute(0, 0, sum(earlier))
+    finally:
+        distribute = None  # it refers to itself: release it, or the call leaves a cycle
     return moves
 
 
@@ -171,21 +182,26 @@ def _kostka_kostant(lam, gamma, eta) -> QPoly:
         return QPoly.zero()
     lam_rho = tuple(lam[i] + (n - 1 - i) for i in range(n))
     gamma_rho = tuple(flat[i] + (n - 1 - i) for i in range(n))
-    ends = set(itertools.accumulate(eta))
+    starts = [-1] * (n + 1)  # the start of the block ending at each position
+    for start, size in zip(itertools.accumulate((0,) + eta), eta):
+        starts[start + size] = start
     coeffs: dict = {}
     d = [0] * n
     prefix = [0] * n
     used = [False] * n
-    nodes = itertools.count(1)
+    budget = _MAX_WALK_NODES
 
-    # frontier counts d[:start]; floor: prefix sum at start plus the negatives since
-    def walk(i: int, start: int, frontier: dict, floor: int, inversions: int):
-        if next(nodes) > _MAX_WALK_NODES:
+    # frontier counts d up to the last block end; floor: prefix sum there plus the negatives since
+    def walk(i: int, frontier: dict, floor: int, inversions: int):
+        nonlocal budget
+        budget -= 1
+        if budget < 0:
             raise ValueError(f"the Kostant walk at rank {n} passes {_MAX_WALK_NODES} "
                              "nodes; use method=\"vertex\" (--method vertex)")
-        if i in ends:
+        start = starts[i]
+        if start >= 0:
             frontier = advance(frontier, d[start:i], prefix[start:i])
-            start, floor = i, prefix[i - 1]
+            floor = prefix[i - 1]
         if i == n:
             _add_slot(coeffs, frontier[(), ()].items(), -1 if inversions % 2 else 1)
             return
@@ -200,18 +216,21 @@ def _kostka_kostant(lam, gamma, eta) -> QPoly:
                 break
             used[v] = True
             d[i], prefix[i] = step, partial + step
-            walk(i + 1, start, frontier, low, inversions + smaller)
+            walk(i + 1, frontier, low, inversions + smaller)
             used[v] = False
             smaller += 1
 
-    if math.factorial(n) > _MAX_WALK_NODES / math.e:  # e * n! > sum of n!/(n-k)!
-        # the cuts never read the frontier, so an empty one visits the same nodes
-        advance = lambda frontier, d_block, prefix_block: frontier  # noqa: E731
-        walk(0, 0, {((), ()): {}}, 0, 0)
-        nodes = itertools.count(1)
-    advance = _advance
-    walk(0, 0, {((), ()): {0: 1}}, 0, 0)
-    return QPoly(coeffs)
+    try:
+        if math.factorial(n) > _MAX_WALK_NODES / math.e:  # e * n! > sum of n!/(n-k)!
+            # the cuts never read the frontier, so an empty one visits the same nodes
+            advance = lambda frontier, d_block, prefix_block: frontier  # noqa: E731
+            walk(0, {((), ()): {}}, 0, 0)
+            budget = _MAX_WALK_NODES
+        advance = _advance
+        walk(0, {((), ()): {0: 1}}, 0, 0)
+    finally:
+        walk = None  # it refers to itself: release it, or the call leaves a cycle
+    return QPoly._raw({e: v for e, v in coeffs.items() if v})
 
 
 def kostka_vertex(lam, gamma) -> QPoly:
@@ -226,18 +245,19 @@ def kostka_vertex(lam, gamma) -> QPoly:
 
 def _kostka_vertex(lam, gamma, eta) -> QPoly:
     """kostka_vertex on a key from _validate_key, like _kostka_kostant."""
-    flat = tuple(x for b in gamma for x in b)
-    if sum(lam) != sum(flat):
+    if sum(lam) != sum(map(sum, gamma)):
         return QPoly.zero()
-    lows = [lam[-1]] + [b[-1] for b in gamma]
-    a = max(0, -min(lows))
-    lam_s = tuple(x + a for x in lam)
-    gamma_s = tuple(tuple(x + a for x in b) for b in gamma)
-    terms = _word_on_one(gamma_s).get(trim_zeros(lam_s), ())
-    if any(e < 0 for e, _ in terms):
+    a = -min(lam[-1], *(b[-1] for b in gamma))
+    lam_s, gamma_s = lam, gamma
+    if a > 0:
+        lam_s = tuple(x + a for x in lam)
+        gamma_s = tuple(tuple(x + a for x in b) for b in gamma)
+    slot = _word_coefficient(gamma_s, trim_zeros(lam_s))
+    c = {e: v for e, v in slot.items() if v}
+    if any(e < 0 for e in c):
         raise ArithmeticError(
             f"vertex engine produced a non-polynomial value for {lam}, {gamma}")
-    return QPoly(dict(terms))
+    return QPoly._raw(c)
 
 
 def kostka(lam, gamma, method: str = "both") -> QPoly:
@@ -281,20 +301,16 @@ def blocked_weights(eta, degree: int, max_part: int | None = None):
     """All blocked weights on eta whose blocks are partitions with the
     given total size (entries bounded by max_part when supplied)."""
     eta = tuple(eta)
-
-    def rec(blocks_left, total):
-        if not blocks_left:
-            if total == 0:
-                yield ()
-            return
-        size = blocks_left[0]
-        for d in range(total + 1):
-            for part in partitions_of(d, max_len=size, max_part=max_part):
-                head = pad_zeros(part, size)
-                for rest in rec(blocks_left[1:], total - d):
-                    yield (head,) + rest
-
-    yield from rec(eta, degree)
+    if not eta:
+        if degree == 0:
+            yield ()
+        return
+    size = eta[0]
+    for d in range(degree + 1):
+        for part in partitions_of(d, max_len=size, max_part=max_part):
+            head = pad_zeros(part, size)
+            for rest in blocked_weights(eta[1:], degree - d, max_part):
+                yield (head,) + rest
 
 
 def kostka_table(eta, degree_bound: int, method: str = "both") -> list:

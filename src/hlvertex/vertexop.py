@@ -17,8 +17,10 @@ Z[q]-combination of words runs through one Z[q] core, _act_into, which
 adds scale * H_nu(vec) into a caller's slot dict; the kernel fill and
 _act_into add each term inline into its exponent -> int slot, and
 apply_H_sum folds each word's signs and coefficient into that scale and
-builds QRat only for its output.  The Kostka vertex engine's memoized
-vectors of block words applied to 1 are built here too, by _word_on_one.
+builds QRat only for its output.  The Kostka vertex engine reads one
+coefficient per key, by _word_coefficient: _word_on_one memoizes the
+word's suffix applied to 1, and _unbernstein pulls it back through the
+first block, whose kernel is never built.
 Jing's operators are obtained by conjugating with the plethystic twist
 X -> X(1-q).
 """
@@ -26,6 +28,7 @@ X -> X(1-q).
 from __future__ import annotations
 
 import itertools
+from operator import sub
 from types import MappingProxyType
 
 from .coeffs import QPoly, QRat, _add_term
@@ -75,6 +78,23 @@ def _bernstein(a: int, rho) -> tuple:
     if not sign or (lam and lam[-1] < 0):
         return 0, None
     return sign, trim_zeros(lam)
+
+
+@memo
+def _unbernstein(lam, a: int) -> tuple:
+    """_bernstein pulled back, for a >= 0: (sign, rho) with S_a s_rho =
+    sign * s_lam, or (0, None).  Such a rho has at most len(lam) parts, so
+    with L = len(lam) + 1 and x = lam + (L-1, ..., 0), lam padded with a
+    zero: if a + L - 1 is x_k, rho is the other x minus (L-2, ..., 0) and
+    the sign is (-1)^(k-1); otherwise no rho maps to s_lam."""
+    assert a >= 0, f"the pull-back needs a >= 0, got {a}"
+    top = len(lam)  # L - 1
+    x = [p + top - i for i, p in enumerate(lam)] + [0]
+    if a + top not in x:
+        return 0, None
+    k = x.index(a + top)
+    del x[k]
+    return (-1 if k & 1 else 1), trim_zeros(map(sub, x, range(top - 1, -1, -1)))
 
 
 @memo
@@ -145,6 +165,28 @@ def _word_on_one(gamma) -> MappingProxyType:
     out: dict = {}
     _act_into(gamma[0], _word_on_one(gamma[1:]).items(), out, _UNIT)
     return _frozen(out)
+
+
+def _word_coefficient(gamma, lam) -> dict:
+    """The Z[q] slot {exponent: int} of s_lam in H_{gamma_1} ... H_{gamma_m} 1,
+    zeros left, for a word of partition blocks: the suffix's vector (or 1)
+    through the first block nu, whose s_lam coefficient on s_kappa sums
+    q^j * sign * H_{nu[1:]}(s_tau)[rho] over the strips (tau, j) of kappa,
+    with (sign, rho) = _unbernstein(lam, nu_1 + j): no kernel of nu is built."""
+    head, tail = gamma[0][0], gamma[0][1:]
+    vec = _word_on_one(gamma[1:]).items() if gamma[1:] else (((), _UNIT),)
+    out: dict = {}
+    for kappa, poly in vec:
+        for tau, j in _strips_below(kappa):
+            sign, rho = _unbernstein(lam, head + j)
+            if sign and (terms := _H_schur(tail, tau).get(rho)):
+                for s, w in poly:
+                    s += j
+                    w *= sign
+                    for e, v in terms:
+                        e += s
+                        out[e] = out.get(e, 0) + w * v
+    return out
 
 
 def apply_H(nu, f: SymFunc) -> SymFunc:

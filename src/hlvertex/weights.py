@@ -11,7 +11,7 @@ take trusted weights and check nothing.
 from __future__ import annotations
 
 import itertools
-from operator import add, gt, index, sub
+from operator import add, ge, gt, index, sub
 
 from .memo import memo
 
@@ -47,7 +47,7 @@ def rho(k: int) -> tuple:
 
 
 def is_dominant(w) -> bool:
-    return all(w[i] >= w[i + 1] for i in range(len(w) - 1))
+    return all(map(ge, w, w[1:]))
 
 
 def is_partition(w) -> bool:

@@ -1,5 +1,6 @@
 """Generalized Kostka polynomials: both engines, tables, recurrences."""
 
+import gc
 import itertools
 import logging
 import random
@@ -404,13 +405,36 @@ class TestVertexEngineVectors:
 
     def test_negative_exponent_is_refused(self, monkeypatch):
         clear_caches()
-        monkeypatch.setattr(kostka_module, "_word_on_one",
-                            lambda gamma: types.MappingProxyType({(1,): ((-1, 1),)}))
+        monkeypatch.setattr(kostka_module, "_word_coefficient", lambda gamma, lam: {-1: 1})
         try:
             with pytest.raises(ArithmeticError, match="non-polynomial"):
                 kostka_vertex((1,), ((1,),))
         finally:
             clear_caches()
+
+
+class TestNoGarbage:
+    def test_keys_leave_no_cycles(self):
+        # every object a key builds is freed by reference counting, with
+        # cold caches on every path: the grid key under "both", the rank-8
+        # singleton key (its counting pass too), a Kostka-Foulkes value,
+        # the column-skew check and a small table
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            kostka((2, 1, 0), ((1,), (1, 1)))  # warm-up
+            clear_caches()
+            gc.collect()
+            assert kostka((3, 2, 1, 0), ((2, 1), (2, 1))) == QPoly({2: 2})
+            assert kostka((8,) + (0,) * 7, ((1,),) * 8) == QPoly({28: 1})
+            assert kostka_foulkes((3, 1), (2, 1, 1)) == QPoly({1: 1, 2: 1})
+            assert check_col_skew((2, 1, 0, 0), ((2, 1), (1, 0)), 1)
+            assert len(kostka_table((2, 2), 4)) == 16
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
+
 
 class TestKostkaFoulkes:
     def test_examples(self):

@@ -11,6 +11,7 @@ from types import MappingProxyType
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hlvertex import kostka as kostka_module
 from hlvertex import symfunc as symfunc_module
 from hlvertex import vertexop as vertexop_module
 from hlvertex.coeffs import QPoly, QRat
@@ -38,6 +39,9 @@ from hlvertex.vertexop import (
     _frozen,
     _H_schur,
     _strips_below,
+    _unbernstein,
+    _word_coefficient,
+    _word_on_one,
     apply_B,
     apply_F,
     apply_H,
@@ -306,6 +310,81 @@ class TestKernelIndependence:
             for d in range(6):
                 for kappa in partitions_of(d):
                     _H_schur(nu, kappa)
+
+    def test_word_coefficient_calls_no_kostant_engine(self, monkeypatch):
+        # the vertex engine's one read touches nothing of the Kostant engine,
+        # so method="both" still compares two routes that share no code
+        def refuse(*args):
+            raise AssertionError("Kostant engine called")
+
+        assert not any(getattr(v, "__module__", None) == kostka_module.__name__
+                       for v in vars(vertexop_module).values())
+        for name in ("roots_set", "kostant_series", "_advance", "_moves",
+                     "_kostka_kostant", "kostka_kostant"):
+            monkeypatch.setattr(kostka_module, name, refuse)
+        clear_caches()
+        for gamma in [((2,), (1,)), ((3, 1), (2, 2, 0)), ((1,), (1,), (1,))]:
+            size = sum(map(sum, gamma))
+            for lam in partitions_of(size):
+                _word_coefficient(gamma, lam)
+        assert kostka_module.kostka_vertex((2, 0), ((1,), (1,))) == QPoly({1: 1})
+
+
+class TestUnbernstein:
+    def test_pulls_back_bernstein(self):
+        # every (lam, a) with a in 0..8 and |lam| - a <= 8 against the
+        # forward map on every rho of size |lam| - a: at most one rho
+        # reaches each lam, and where none does the answer is (0, None)
+        pairs = unreached = 0
+        for a in range(9):
+            for size in range(a + 9):
+                forward = {}
+                for rho in partitions_of(size - a):
+                    sign, lam = _bernstein(a, rho)
+                    if sign:
+                        assert lam not in forward, (a, rho)
+                        forward[lam] = (sign, rho)
+                for lam in partitions_of(size):
+                    assert _unbernstein(lam, a) == forward.get(lam, (0, None)), (lam, a)
+                    pairs += 1
+                    unreached += lam not in forward
+        assert pairs == 3250
+        assert 0 < unreached < pairs
+
+    def test_negative_a_is_refused(self):
+        with pytest.raises(AssertionError, match="a >= 0"):
+            _unbernstein((1,), -1)
+
+
+def word_keys():
+    """Words of partition blocks: every blocked weight of every eta with
+    n <= 4 up to degree 6, then every key with blocks of entries -2..1 on
+    n <= 3 that has a negative entry, shifted as the vertex engine shifts."""
+    for n in range(1, 5):
+        for eta in kostka_module.compositions(n):
+            for d in range(7):
+                yield from kostka_module.blocked_weights(eta, d)
+    for n in range(1, 4):
+        for eta in kostka_module.compositions(n):
+            for gamma in itertools.product(*(dominant_weights(k, -2, 1) for k in eta)):
+                low = min(b[-1] for b in gamma)
+                if low < 0:
+                    yield tuple(tuple(x - low for x in b) for b in gamma)
+
+
+class TestWordCoefficient:
+    def test_equals_the_word_vector(self):
+        # the first block pulled back gives every s_lam coefficient of the
+        # whole word applied to 1, lam outside the support included
+        keys = reads = 0
+        for gamma in word_keys():
+            vec = _word_on_one(gamma)
+            for lam in set(vec) | set(partitions_of(sum(map(sum, gamma)))):
+                got = {e: v for e, v in _word_coefficient(gamma, lam).items() if v}
+                assert got == dict(vec.get(lam, ())), (gamma, lam)
+                reads += 1
+            keys += 1
+        assert (keys, reads) == (1254, 8328)
 
 
 GOLDEN_BLOCKS = [(1,), (0,), (-1,), (3,), (2, 1), (2, 0, -1), (0, -1), (3, 3),

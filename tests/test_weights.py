@@ -156,3 +156,14 @@ class TestHelpers:
         assert format_blocked(((2, 2), (4, 1))) == "2,2;4,1"
         with pytest.raises(ValueError, match="entry 1"):
             parse_weight("2,x")
+
+    def test_is_dominant_against_pairwise_comparison(self):
+        # every tuple of length 0-5 with entries -2..2, lists too
+        checked = 0
+        for k in range(6):
+            for w in itertools.product(range(-2, 3), repeat=k):
+                want = all(w[i] >= w[i + 1] for i in range(len(w) - 1))
+                assert is_dominant(w) is want, w
+                assert is_dominant(list(w)) is want, w
+                checked += 1
+        assert checked == 3906
