@@ -12,15 +12,15 @@ on Schur functions over Z[q], one row of nu at a time: H_nu = sum over
 j >= 0 of q^j S_{nu_1+j} H_{nu[1:]} h_j-perp, where h_j-perp removes a
 horizontal strip of size j and Bernstein's S_a s_rho = s_{(a, rho)} is a
 signed Schur function after straightening (see _H_schur); the strips of
-each kappa are memoized as (tau, j) pairs.  Every word and every
-Z[q]-combination of words runs through one Z[q] core, _act_into, which
-adds scale * H_nu(vec) into a caller's slot dict; the kernel fill and
-_act_into add each term inline into its exponent -> int slot, and
-apply_H_sum folds each word's signs and coefficient into that scale and
-builds QRat only for its output.  The Kostka vertex engine reads one
-coefficient per key, by _word_coefficient: _word_on_one memoizes the
-word's suffix applied to 1, and _unbernstein pulls it back through the
-first block, whose kernel is never built.
+each kappa are memoized as (tau, j) pairs.  A memoized Z[q] vector is a
+tuple of (index, exponent, coefficient) triples, each index in one run
+(see _frozen).  Every word and every Z[q]-combination of words runs
+through one core, _act_into, which adds scale * H_nu(vec) into a caller's
+{index: {exponent: int}} slot dict, each term inline; apply_H_sum folds a
+word's signs and coefficient into that scale and builds QRat only for its
+output.  The Kostka vertex engine reads one coefficient per key, by
+_word_coefficient: _unbernstein pulls the memoized suffix vector
+_word_on_one back through the first block, whose kernel is never built.
 Jing's operators are obtained by conjugating with the plethystic twist
 X -> X(1-q).
 """
@@ -28,8 +28,8 @@ X -> X(1-q).
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from operator import sub
-from types import MappingProxyType
 
 from .coeffs import QPoly, QRat, _add_term
 from .memo import memo
@@ -45,16 +45,14 @@ from .symfunc import (
 from .weights import _as_word, _entry, is_dominant, straighten, trim_zeros
 
 
-def _frozen(acc: dict) -> MappingProxyType:
-    """acc as read-only {index: ((exponent, coefficient), ...)}, zeros
-    dropped: a slot with no zero is copied as it is, only a slot holding
-    a zero is filtered, and a slot left empty is dropped."""
-    return MappingProxyType({idx: terms for idx, slot in acc.items() if (
-        terms := tuple(slot.items()) if 0 not in slot.values()
-        else tuple((e, v) for e, v in slot.items() if v))})
+def _frozen(acc: dict) -> tuple:
+    """The slot dict acc, {index: {exponent: int}}, as one tuple of
+    (index, exponent, coefficient) triples in acc's order, zeros dropped:
+    each index's triples form one run, and no (index, exponent) repeats."""
+    return tuple([(idx, e, v) for idx, slot in acc.items() for e, v in slot.items() if v])
 
 
-# the Z[q] polynomial 1
+# the Z[q] polynomial 1, as (exponent, coefficient) pairs
 _UNIT = ((0, 1),)
 
 
@@ -98,7 +96,7 @@ def _unbernstein(lam, a: int) -> tuple:
 
 
 @memo
-def _H_schur(nu, kappa) -> MappingProxyType:
+def _H_schur(nu, kappa) -> tuple:
     """The kernel H_nu(s_kappa) over Z[q], in _frozen form: H_() is the
     identity, and with S_a s_rho from _bernstein,
 
@@ -115,77 +113,77 @@ def _H_schur(nu, kappa) -> MappingProxyType:
     h_j-perp commute, and splitting off gamma_1 = j gives the recursion,
     whose sub-kernels every block with the tail nu[1:] shares.  This
     holds for negative entries of nu too.  The fill takes a = nu_1 + j
-    once per memoized (tau, j) pair and adds each signed, shifted term
-    of the sub-kernel inline into its slot."""
+    once per memoized (tau, j) pair, looks up S_a once per run of one
+    index of the sub-kernel and adds each signed, shifted term inline."""
     if not nu:
-        return MappingProxyType({kappa: _UNIT})
+        return ((kappa, 0, 1),)
     head, tail = nu[0], nu[1:]
-    acc: dict = {}
+    acc = defaultdict(dict)
     for tau, j in _strips_below(kappa):
         a = head + j
-        for rho, terms in _H_schur(tail, tau).items():
-            sign, lam = _bernstein(a, rho)
+        last = None
+        for rho, e, v in _H_schur(tail, tau):
+            if rho is not last:
+                last = rho
+                sign, lam = _bernstein(a, rho)
+                if sign:
+                    slot = acc[lam]
             if sign:
-                slot = acc.get(lam)
-                if slot is None:
-                    acc[lam] = slot = {}
-                for e, v in terms:
-                    e += j
-                    slot[e] = slot.get(e, 0) + sign * v
+                e += j
+                slot[e] = slot.get(e, 0) + sign * v
     return _frozen(acc)
 
 
 def _act_into(nu, vec, out: dict, scale) -> None:
     """out += scale * H_nu(vec) on Z[q] slots, for a dominant nu: vec as
-    (kappa, (exponent, coefficient) pairs) items, scale as (exponent, int)
-    pairs and out as {kappa: {exponent: int}}, where zeros are left.  Each
-    (shift, multiplier) pair walks the kernel image once and adds its
-    terms inline, with no helper call per term."""
-    for kappa, poly in vec:
-        mult = [(s + t, w * c) for s, w in poly if w for t, c in scale]
-        image = _H_schur(nu, kappa).items()
-        for shift, m in mult:
-            for idx, terms in image:
-                slot = out.get(idx)
-                if slot is None:
-                    out[idx] = slot = {}
-                for e, v in terms:
-                    e += shift
-                    slot[e] = slot.get(e, 0) + m * v
+    (kappa, exponent, coefficient) triples, scale as (exponent, int) pairs
+    and out a defaultdict(dict), {kappa: {exponent: int}}, where zeros are
+    left.  Each (vec term, scale term) pair walks the kernel's triples once
+    and adds each term inline, with no helper call per term."""
+    for kappa, s, w in vec:
+        image = _H_schur(nu, kappa)
+        for t, c in scale:
+            shift, m = s + t, w * c
+            for lam, e, v in image:
+                slot = out[lam]
+                e += shift
+                slot[e] = slot.get(e, 0) + m * v
 
 
 @memo
-def _word_on_one(gamma) -> MappingProxyType:
+def _word_on_one(gamma) -> tuple:
     """H_{gamma_1} ... H_{gamma_m} 1 for a nonempty word of dominant blocks,
-    as a read-only Z[q] vector memoized on every suffix, which keys share:
-    one block is the memoized kernel on s_() itself, and a longer word adds
-    its first block's image of the suffix's vector into one fresh dict."""
+    in _frozen form, memoized on every suffix, which keys share: one block
+    is the memoized kernel on s_() itself, and a longer word adds its first
+    block's image of the suffix's vector into one fresh slot dict."""
     if len(gamma) == 1:
         return _H_schur(gamma[0], ())
-    out: dict = {}
-    _act_into(gamma[0], _word_on_one(gamma[1:]).items(), out, _UNIT)
+    out = defaultdict(dict)
+    _act_into(gamma[0], _word_on_one(gamma[1:]), out, _UNIT)
     return _frozen(out)
 
 
 def _word_coefficient(gamma, lam) -> dict:
     """The Z[q] slot {exponent: int} of s_lam in H_{gamma_1} ... H_{gamma_m} 1,
     zeros left, for a word of partition blocks: the suffix's vector (or 1)
-    through the first block nu, whose s_lam coefficient on s_kappa sums
-    q^j * sign * H_{nu[1:]}(s_tau)[rho] over the strips (tau, j) of kappa,
-    with (sign, rho) = _unbernstein(lam, nu_1 + j): no kernel of nu is built."""
+    through the first block nu, whose s_lam coefficient on s_kappa, read
+    once per run of one kappa, sums q^j * sign * H_{nu[1:]}(s_tau)[rho] over
+    the strips (tau, j) of kappa, with (sign, rho) = _unbernstein(lam,
+    nu_1 + j), scanning the sub-kernel's triples: no kernel of nu is built."""
     head, tail = gamma[0][0], gamma[0][1:]
-    vec = _word_on_one(gamma[1:]).items() if gamma[1:] else (((), _UNIT),)
+    vec = _word_on_one(gamma[1:]) if gamma[1:] else (((), 0, 1),)
     out: dict = {}
-    for kappa, poly in vec:
-        for tau, j in _strips_below(kappa):
-            sign, rho = _unbernstein(lam, head + j)
-            if sign and (terms := _H_schur(tail, tau).get(rho)):
-                for s, w in poly:
-                    s += j
-                    w *= sign
-                    for e, v in terms:
-                        e += s
-                        out[e] = out.get(e, 0) + w * v
+    last = None
+    for kappa, s, w in vec:
+        if kappa is not last:
+            last, hits = kappa, []
+            for tau, j in _strips_below(kappa):
+                sign, rho = _unbernstein(lam, head + j)
+                if sign:
+                    hits += [(e + j, sign * v) for idx, e, v in _H_schur(tail, tau) if idx == rho]
+        for e, v in hits:
+            e += s
+            out[e] = out.get(e, 0) + w * v
     return out
 
 
@@ -206,11 +204,11 @@ def apply_H_word(blocks, f: SymFunc) -> SymFunc:
 
 def apply_H_sum(terms, f: SymFunc) -> SymFunc:
     """sum of c * word(f) over the (word, QPoly c) pairs of terms, in the
-    Schur basis.  f is split once into Z[q] vectors by denominator, and
-    c times the signs of a word's straightened blocks is one scale.  On
+    Schur basis.  f is split once into Z[q] triple vectors by denominator,
+    and c times the signs of a word's straightened blocks is one scale.  On
     a single s_kappa the first image is the memoized kernel itself, middle
-    images are plain slot dicts, and the leftmost block adds scale times
-    its image straight into one Z[q] dict per denominator.  QRat is built
+    images are triple lists, and the leftmost block adds scale times its
+    image straight into one Z[q] slot dict per denominator.  QRat is built
     once per denominator and Schur index whose slot does not cancel."""
     words = []  # (dominant blocks rightmost first, scale)
     for word, c in terms:
@@ -224,20 +222,20 @@ def apply_H_sum(terms, f: SymFunc) -> SymFunc:
             words.append((blocks or [()], tuple((e, sign * v) for e, v in c._c.items())))
     parts: dict = {}  # denominator -> Z[q] vector
     for kappa, c in convert(f, SCHUR)._terms.items():
-        parts.setdefault(c.den, {})[kappa] = tuple(c.num._c.items())
+        parts.setdefault(c.den, []).extend((kappa, e, v) for e, v in c.num._c.items())
     out: dict = {}
     for den, vec in parts.items():
-        unit = next(iter(vec)) if len(vec) == 1 and _UNIT in vec.values() else None
-        acc: dict = {}
+        unit = vec[0][0] if len(vec) == 1 and vec[0][1:] == (0, 1) else None
+        acc = defaultdict(dict)
         for blocks, scale in words:
-            image = vec.items()
+            image = vec
             if unit is not None and len(blocks) > 1:
-                image = _H_schur(blocks[0], unit).items()
+                image = _H_schur(blocks[0], unit)
                 blocks = blocks[1:]
             for nu in blocks[:-1]:
-                mid: dict = {}
+                mid = defaultdict(dict)
                 _act_into(nu, image, mid, _UNIT)
-                image = [(kappa, slot.items()) for kappa, slot in mid.items()]
+                image = [(idx, e, v) for idx, slot in mid.items() for e, v in slot.items() if v]
             _act_into(blocks[-1], image, acc, scale)
         for idx, slot in acc.items():
             if any(slot.values()):

@@ -392,15 +392,16 @@ class TestVertexEngineVectors:
         key = ((2, 1), (1,))
         vec = _word_on_one(key)
         with pytest.raises(TypeError):
-            vec[(9,)] = ((0, 1),)
+            vec[0] = ((9,), 0, 1)
         with pytest.raises(TypeError):
-            del vec[next(iter(vec))]
-        assert all(isinstance(terms, tuple) for terms in vec.values())
+            del vec[0]
+        assert type(vec) is tuple and all(type(t) is tuple for t in vec)
+        hash(vec)  # TypeError if any part, down to the indices, is mutable
         # one block is the memoized kernel on 1 itself, not a copy
         base = _word_on_one(((2, 1),))
         assert base is _H_schur((2, 1), ())
         with pytest.raises(TypeError):
-            base[()] = ((0, 2),)
+            base[0] = ((), 0, 2)
         assert kostka_vertex((3, 1, 0), key) == kostka_kostant((3, 1, 0), key)
 
     def test_negative_exponent_is_refused(self, monkeypatch):

@@ -1,5 +1,6 @@
 """Operator-word rewriting with evaluation certificates."""
 
+import gc
 import hashlib
 import itertools
 import json
@@ -14,6 +15,7 @@ import pytest
 import hlvertex.rewrite as rewrite_module
 import hlvertex.vertexop as vertexop_module
 from hlvertex.coeffs import QPoly, QRat
+from hlvertex.memo import clear_caches
 from hlvertex.rewrite import (
     OpSum,
     evaluate,
@@ -102,6 +104,30 @@ class TestEvaluate:
 
     def test_nondominant_word_straightens(self):
         assert apply_H_word(((0, 2),), one()) == -schur((1, 1))
+
+    def test_cold_certificate_leaves_no_cycles(self):
+        # every object a certificate builds, from the relation generators
+        # through the kernel fills to QRat, is freed by reference counting
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            evaluate(relation_instance("com1", mu=(1,), a=1, b=2, nu=(1,)), schur((1,)))
+            clear_caches()
+            gc.collect()
+            for kind, params in [("com1", dict(mu=(2, 1), a=1, b=3, nu=(1,))),
+                                 ("com2", dict(mu=(1,), a=2, nu=(2, 1))),
+                                 ("move", dict(mu=(2,), a=1, nu=(1, 1))),
+                                 ("bigmove", dict(alpha=(2, 1), beta=(1,), gamma=(1, 1, 0))),
+                                 ("same-width", dict(a=1, k=2, n=3)),
+                                 ("one-more", dict(a=1, k=2)), ("quad", dict(a=2, k=2))]:
+                rel = relation_instance(kind, **params)
+                for d in range(3):
+                    for tau in partitions_of(d):
+                        assert evaluate(rel, schur(tau)).is_zero(), (kind, tau)
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestRelationInstances:

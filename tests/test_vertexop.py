@@ -6,7 +6,6 @@ import itertools
 import random
 import sys
 from fractions import Fraction
-from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -175,17 +174,27 @@ def flat_H_schur(nu, kappa):
             slot = acc.setdefault(trim_zeros(lam), {})
             e = sum(gamma)
             slot[e] = slot.get(e, 0) + sign * m
-    return kernel_canon({idx: slot.items() for idx, slot in acc.items()})
+    return kernel_canon((idx, e, v) for idx, slot in acc.items() for e, v in slot.items() if v)
 
 
 def kernel_canon(image):
-    """{index: ((exponent, coefficient), ...)} as a sorted tuple, zeros dropped."""
-    out = []
-    for idx, terms in image.items():
-        terms = tuple(sorted((e, v) for e, v in terms if v))
-        if terms:
-            out.append((idx, terms))
-    return tuple(sorted(out))
+    """(index, exponent, coefficient) triples as a sorted tuple of
+    (index, sorted ((exponent, coefficient), ...)) pairs, zeros kept."""
+    out: dict = {}
+    for idx, e, v in image:
+        out.setdefault(idx, []).append((e, v))
+    return tuple(sorted((idx, tuple(sorted(terms))) for idx, terms in out.items()))
+
+
+def assert_flat(image, where):
+    """image is a plain tuple of (index, exponent, coefficient) triples in
+    which each index forms one contiguous run, no (index, exponent) pair
+    repeats and no coefficient is 0."""
+    assert type(image) is tuple and all(len(t) == 3 for t in image), where
+    runs = [idx for idx, _ in itertools.groupby(t[0] for t in image)]
+    assert len(runs) == len(set(runs)), where
+    assert len({t[:2] for t in image}) == len(image), where
+    assert all(v for _, _, v in image), where
 
 
 class TestPeel:
@@ -239,12 +248,12 @@ class TestFrozen:
     def test_zero_terms_and_all_zero_slots_are_dropped(self):
         image = _frozen({(2,): {0: 1, 1: 0, 3: -2}, (1, 1): {0: 0, 2: 0},
                          (1,): {5: 4, 6: -1}, (): {}})
-        assert isinstance(image, MappingProxyType)
-        assert dict(image) == {(2,): ((0, 1), (3, -2)), (1,): ((5, 4), (6, -1))}
+        assert type(image) is tuple
+        assert image == (((2,), 0, 1), ((2,), 3, -2), ((1,), 5, 4), ((1,), 6, -1))
 
     def test_slot_without_zero_keeps_its_terms(self):
-        image = _frozen({(3, 1): {2: 1, 0: -3, 7: 2}})
-        assert dict(image) == {(3, 1): ((2, 1), (0, -3), (7, 2))}
+        image = _frozen({(3, 1): {2: 1, 0: -3, 7: 2}, (2,): {1: 5}})
+        assert image == (((3, 1), 2, 1), ((3, 1), 0, -3), ((3, 1), 7, 2), ((2,), 1, 5))
 
 
 class TestRowRecursion:
@@ -261,7 +270,7 @@ class TestRowRecursion:
 
     def test_empty_block_is_the_identity(self):
         for kappa in [(), (1,), (3, 1), (2, 2, 1)]:
-            assert dict(_H_schur((), kappa)) == {kappa: ((0, 1),)}
+            assert _H_schur((), kappa) == ((kappa, 0, 1),)
 
     def test_bernstein_against_jacobi_trudi(self):
         # S_a s_rho is the Jacobi-Trudi determinant det(h_{v_i - i + j}),
@@ -379,12 +388,21 @@ class TestWordCoefficient:
         keys = reads = 0
         for gamma in word_keys():
             vec = _word_on_one(gamma)
-            for lam in set(vec) | set(partitions_of(sum(map(sum, gamma)))):
+            for lam in {t[0] for t in vec} | set(partitions_of(sum(map(sum, gamma)))):
                 got = {e: v for e, v in _word_coefficient(gamma, lam).items() if v}
-                assert got == dict(vec.get(lam, ())), (gamma, lam)
+                assert got == {e: v for idx, e, v in vec if idx == lam}, (gamma, lam)
                 reads += 1
             keys += 1
         assert (keys, reads) == (1254, 8328)
+
+    def test_word_vectors_are_flat(self):
+        clear_caches()
+        keys = 0
+        for gamma in word_keys():
+            for k in range(len(gamma)):
+                assert_flat(_word_on_one(gamma[k:]), gamma[k:])
+            keys += 1
+        assert keys == 1254
 
 
 GOLDEN_BLOCKS = [(1,), (0,), (-1,), (3,), (2, 1), (2, 0, -1), (0, -1), (3, 3),
@@ -401,8 +419,7 @@ class TestKernelGolden:
         for nu in GOLDEN_BLOCKS:
             for d in range(7):
                 for kappa in partitions_of(d):
-                    image = _H_schur(nu, kappa)
-                    canon = sorted((idx, tuple(sorted(t))) for idx, t in image.items())
+                    canon = list(kernel_canon(_H_schur(nu, kappa)))
                     h.update(repr((nu, kappa)).encode())
                     h.update(repr(canon).encode())
                     pairs += 1
@@ -410,12 +427,12 @@ class TestKernelGolden:
         assert h.hexdigest() == GOLDEN_KERNEL_SHA256
 
     def test_kernel_holds_no_zero(self):
+        # and each index in one run, with no (index, exponent) pair twice
         clear_caches()
         for nu in GOLDEN_BLOCKS:
             for d in range(7):
                 for kappa in partitions_of(d):
-                    for idx, terms in _H_schur(nu, kappa).items():
-                        assert terms and all(v for _, v in terms), (nu, kappa, idx)
+                    assert_flat(_H_schur(nu, kappa), (nu, kappa))
 
 
 # SHA-256 over str() of apply_F(s_lam) and apply_F(s_lam, inverse=True) for
@@ -461,12 +478,12 @@ class TestLinearExtension:
 class TestKernelCache:
     def test_kernel_values_are_read_only(self):
         image = _H_schur((2, 1), (2, 1))
-        idx = next(iter(image))
         with pytest.raises(TypeError):
-            image[idx] = ((0, 99),)
+            image[0] = ((2, 1), 0, 99)
         with pytest.raises(TypeError):
-            del image[idx]
-        assert all(isinstance(terms, tuple) for terms in image.values())
+            del image[0]
+        assert type(image) is tuple and all(type(t) is tuple for t in image)
+        hash(image)  # TypeError if any part, down to the indices, is mutable
 
     def test_mutating_an_output_leaves_the_cache_intact(self):
         clear_caches()
