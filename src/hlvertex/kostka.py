@@ -1,9 +1,10 @@
 """Generalized Kostka polynomials by two independent engines.
 
 The Kostant engine antisymmetrizes a block-triangular partition-function
-count: a depth-first walk over the symmetric group advances one forward
-count over multisets of unspent supplies block by block, so permutations
-sharing a prefix share its count, and refuses past a fixed node budget.
+count: it advances one forward count over multisets of unspent supplies
+block by block, one signed count for all the permutation prefixes that
+leave the same values unused at a block end, and refuses a key whose
+permutation tree passes a fixed node budget.
 The vertex engine reads the one Schur coefficient of s_lam in a composite
 of Hall-Littlewood vertex operators applied to 1.  Agreement of the two is
 the library's central cross-check; neither uses the other.  A key frees
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from operator import add
 
 from .coeffs import QPoly, _add_slot
 from .memo import memo
@@ -31,7 +33,7 @@ from .weights import (
 )
 
 
-# the most nodes the Kostant engine's permutation walk may visit
+# the most nodes a key's permutation tree may have in the Kostant engine
 _MAX_WALK_NODES = 100_000
 
 _METHODS = ("kostant", "vertex", "both")
@@ -160,77 +162,99 @@ def kostka_kostant(lam, gamma) -> QPoly:
     """K(lam, gamma, eta)(q) by signed summation of kostant_series over
     the symmetric group.
 
-    The walk assigns d_i = lam_rho[perm(i)] - gamma_rho[i] depth-first
-    and advances kostant_series' forward count as each block completes,
-    so leaves sharing a prefix share its count.  Units flow only to later
-    blocks, so a map of weight d exists exactly when, for every block, the
-    prefix sum before it plus its negative entries stays nonnegative; the
-    walk cuts a branch as soon as that fails.  As lam_rho strictly
-    decreases, so does d_i over the free values, and the first failing
-    value ends the scan.  Choosing a value adds the still-unused smaller
-    values to the inversion count.  A walk of more than _MAX_WALK_NODES
-    nodes raises ValueError, from a frontier-free counting pass first when
-    the unpruned tree, sum over k of n!/(n-k)!, could pass that budget.
+    A permutation assigns d_i = lam_rho[perm(i)] - gamma_rho[i].  Units
+    flow only to later blocks, so a map of weight d exists exactly when,
+    for every block, the prefix sum before it plus its negative entries
+    stays nonnegative; a prefix is cut as soon as that fails.  As lam_rho
+    strictly decreases, so does d_i over the free values, and the first
+    failing value ends the scan.  Taking a value adds one inversion per
+    larger unused value.  What follows a block end depends only on the
+    values left unused there, so the prefixes reaching one such set share
+    one forward count, summed with their signs (_sweep).  A key whose
+    permutation tree, the prefixes that pass the cut, has more than
+    _MAX_WALK_NODES nodes raises ValueError, from a frontier-free counting
+    pass first when the unpruned tree, sum over k of n!/(n-k)!, could
+    pass that budget.
     """
     return _kostka_kostant(*_validate_key(lam, gamma))
 
 
 def _kostka_kostant(lam, gamma, eta) -> QPoly:
-    n = sum(eta)
-    flat = tuple(x for b in gamma for x in b)
+    flat = sum(gamma, ())
     if sum(lam) != sum(flat):
         return QPoly.zero()
-    lam_rho = tuple(lam[i] + (n - 1 - i) for i in range(n))
-    gamma_rho = tuple(flat[i] + (n - 1 - i) for i in range(n))
-    starts = [-1] * (n + 1)  # the start of the block ending at each position
-    for start, size in zip(itertools.accumulate((0,) + eta), eta):
-        starts[start + size] = start
-    coeffs: dict = {}
-    d = [0] * n
-    prefix = [0] * n
-    used = [False] * n
-    budget = _MAX_WALK_NODES
-
-    # frontier counts d up to the last block end; floor: prefix sum there plus the negatives since
-    def walk(i: int, frontier: dict, floor: int, inversions: int):
-        nonlocal budget
-        budget -= 1
-        if budget < 0:
-            raise ValueError(f"the Kostant walk at rank {n} passes {_MAX_WALK_NODES} "
-                             "nodes; use method=\"vertex\" (--method vertex)")
-        start = starts[i]
-        if start >= 0:
-            frontier = advance(frontier, d[start:i], prefix[start:i])
-            floor = prefix[i - 1]
-        if i == n:
-            _add_slot(coeffs, frontier[(), ()].items(), -1 if inversions % 2 else 1)
-            return
-        partial = prefix[i - 1] if i else 0
-        smaller = 0
-        for v in range(n):
-            if used[v]:
-                continue
-            step = lam_rho[v] - gamma_rho[i]
-            low = floor + min(step, 0)
-            if low < 0:
-                break
-            used[v] = True
-            d[i], prefix[i] = step, partial + step
-            walk(i + 1, frontier, low, inversions + smaller)
-            used[v] = False
-            smaller += 1
-
-    try:
-        if math.factorial(n) > _MAX_WALK_NODES / math.e:  # e * n! > sum of n!/(n-k)!
-            # the cuts never read the frontier, so an empty one visits the same nodes
-            advance = lambda frontier, d_block, prefix_block: frontier  # noqa: E731
-            walk(0, {((), ()): {}}, 0, 0)
-            budget = _MAX_WALK_NODES
-        advance = _advance
-        walk(0, {((), ()): {0: 1}}, 0, 0)
-    finally:
-        walk = None  # it refers to itself: release it, or the call leaves a cycle
+    rho = range(len(flat) - 1, -1, -1)
+    lam_rho, gamma_rho = tuple(map(add, lam, rho)), tuple(map(add, flat, rho))
+    # e * n! > sum of n!/(n-k)!: the unpruned tree could pass the budget
+    if math.factorial(len(flat)) > _MAX_WALK_NODES / math.e and \
+            _sweep(lam_rho, gamma_rho, eta, None) > _MAX_WALK_NODES:
+        raise ValueError(f"the Kostant walk at rank {len(flat)} passes {_MAX_WALK_NODES} "
+                         "nodes; use method=\"vertex\" (--method vertex)")
+    coeffs = _sweep(lam_rho, gamma_rho, eta, _advance)
     return QPoly._raw({e: v for e, v in coeffs.items() if v})
+
+
+def _sweep(lam_rho, gamma_rho, eta, advance):
+    """Fold the signed forward counts of every permutation block by block
+    over the sets of lam_rho values left unused; with advance None, count
+    instead the nodes of the permutation tree, stopping past the budget.
+
+    Inside a block each partial order takes the unused values in turn,
+    with kostka_kostant's cut and inversion parity.  The orders closing
+    the block on one unused set, which fixes its prefix sum, share one
+    signed forward count, or one count of the tree paths into it; a count
+    that cancels is dropped.  The last block folds into the result."""
+    counting = advance is None
+    # the unused values, descending: [prefix sum, sign, tree paths or
+    # forward count, whether its terms may carry either sign]
+    layer = {lam_rho: [0, 1, 1 if counting else {((), ()): {0: 1}}, False]}
+    nodes, coeffs, start, n = 1, {}, 0, len(lam_rho)
+    for size in eta:
+        orders = [(free, 0, entry[0], entry[0], (), (), entry) for free, entry in layer.items()]
+        for g in gamma_rho[start:start + size]:
+            grown = []
+            for free, odd, floor, partial, ds, ps, entry in orders:
+                base = len(grown)
+                for k, v in enumerate(free):
+                    step = v - g
+                    low = floor + step if step < 0 else floor
+                    if low < 0:
+                        break
+                    grown.append((free[:k] + free[k + 1:], odd ^ k & 1, low, partial + step,
+                                  ds + (step,), ps + (partial + step,), entry))
+                if counting:
+                    nodes += (len(grown) - base) * entry[2]
+                    if nodes > _MAX_WALK_NODES:
+                        return nodes
+            orders = grown
+        start += size
+        layer, dirty = {}, []
+        for free, odd, _, partial, ds, ps, (_, sign, value, mixed) in orders:
+            if counting:
+                layer.setdefault(free, [partial, 1, 0, False])[2] += value
+                continue
+            frontier = advance(value, ds, ps)
+            sign = -sign if odd else sign
+            if start == n:
+                _add_slot(coeffs, frontier[(), ()].items(), sign)
+            elif (entry := layer.get(free)) is None:
+                layer[free] = [partial, sign, frontier, mixed]
+                if mixed:
+                    dirty.append(free)
+            else:  # the signs mix, and may cancel
+                if not entry[3]:
+                    entry[3] = True
+                    dirty.append(free)
+                sign *= entry[1]
+                for state, series in frontier.items():
+                    _add_slot(entry[2].setdefault(state, {}), series.items(), sign)
+        for free in dirty:
+            entry = layer[free]
+            entry[2] = {state: c for state, series in entry[2].items()
+                        if (c := {e: v for e, v in series.items() if v})}
+            if not entry[2]:
+                del layer[free]
+    return nodes if counting else coeffs
 
 
 def kostka_vertex(lam, gamma) -> QPoly:

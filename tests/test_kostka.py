@@ -67,6 +67,35 @@ def permutation_sum(lam, gamma):
     return total
 
 
+def tree_nodes(lam, gamma):
+    """Reference count of the permutation tree the Kostant engine stands
+    for: the empty prefix and every prefix that passes the cut, which
+    asks each block's prefix sum before it plus its negative entries so
+    far to stay nonnegative, scanning unused values in order and stopping
+    at the first that fails."""
+    flat = [x for b in gamma for x in b]
+    n = len(flat)
+    lam_rho = [x + n - 1 - i for i, x in enumerate(lam)]
+    gamma_rho = [x + n - 1 - i for i, x in enumerate(flat)]
+    block_starts = set(itertools.accumulate(len(b) for b in gamma))
+
+    def count(i, unused, floor, partial):
+        if i in block_starts:
+            floor = partial
+        if i == n:
+            return 1
+        total = 1
+        for v in unused:
+            step = lam_rho[v] - gamma_rho[i]
+            if floor + min(step, 0) < 0:
+                break
+            total += count(i + 1, [u for u in unused if u != v],
+                           floor + min(step, 0), partial + step)
+        return total
+
+    return count(0, list(range(n)), 0, 0)
+
+
 class TestRootsSet:
     def test_examples(self):
         assert roots_set((1, 1)) == ((1, 2),)
@@ -200,7 +229,9 @@ class TestEngines:
                 for gamma in blocked_weights(eta, d, max_part=3):
                     for p in partitions_of(d, max_len=4):
                         kostka_kostant(pad_zeros(p, 4), gamma)
-        assert frontiers and all(frontiers)
+        # a used set whose signed count cancels is dropped, not advanced
+        assert frontiers and all(any(v for series in frontier.values() for v in series.values())
+                                 for frontier in frontiers)
 
     @staticmethod
     def advanced_positions(monkeypatch):
@@ -220,8 +251,34 @@ class TestEngines:
         start = time.perf_counter()
         assert kostka_kostant((10,) + (0,) * 9, ((1,),) * 10) == QPoly({45: 1})
         assert time.perf_counter() - start < 2.0
-        # each walk node advances at most its own position: 14570 in all
-        assert sum(counted) < 15_000
+        # one position per edge of the used-set lattice, n * 2^(n-1) edges at
+        # most, where the permutation tree has 14570 nodes
+        assert sum(counted) <= 10 * 2 ** 9
+
+    @pytest.mark.parametrize("lam,gamma", [
+        ((2, 0, 0, 0), ((0,), (0, 0), (2,))),
+        ((2, 1, 0, 0), ((0,), (0, 0), (3,))),
+        ((3, 1, 0, 0), ((0,), (1, 0), (3,))),
+    ])
+    def test_cancelled_used_set_is_dropped(self, monkeypatch, lam, gamma):
+        # two orders of the middle block close it on one used set with
+        # opposite signs and forward counts that cancel: the last block, one
+        # position, is advanced for fewer used sets than the cut lets reach it
+        want = permutation_sum(lam, gamma)  # before the count: it advances too
+        counted = self.advanced_positions(monkeypatch)
+        assert kostka_kostant(lam, gamma) == want
+        flat = [x for b in gamma for x in b]
+        lam_rho = [x + 3 - i for i, x in enumerate(lam)]
+        gamma_rho = [x + 3 - i for i, x in enumerate(flat)]
+
+        def passes(d):
+            return all(sum(d[:a]) + sum(min(x, 0) for x in d[a:b]) >= 0
+                       for a, b in ((0, 1), (1, 3), (3, 4)))
+
+        reached = {frozenset(perm[:3]) for perm in itertools.permutations(range(4))
+                   if passes([lam_rho[v] - g for v, g in zip(perm, gamma_rho)])}
+        last = list(itertools.takewhile(lambda k: k == 1, reversed(counted)))
+        assert 0 < len(last) < len(reached)
 
     def test_wide_block_is_cut_inside_the_block(self, monkeypatch):
         # every prefix stays nonnegative, but position 1 already needs units
@@ -240,6 +297,28 @@ class TestEngines:
         with pytest.raises(ValueError, match=message):
             kostka_kostant((n,) + (0,) * (n - 1), ((1,),) * n)
         assert counted == []
+
+    def test_refusal_pass_counts_the_permutation_tree(self):
+        # the refusal pass counts tree paths over the used-set lattice; that
+        # count is the reference tree's node count, or past the budget with it
+        keys = [((20,) + (0,) * 8, ((0,),) * 8 + ((20,),))]  # 109602 nodes
+        for n in (8, 9):
+            for eta in [(1,) * n, (2,) * (n // 2) + (1,) * (n % 2), (3, 3, n - 6), (1, n - 2, 1)]:
+                for lam in [(n,) + (0,) * (n - 1), (3, 2, 2, 1) + (0,) * (n - 4)]:
+                    gammas = list(blocked_weights(eta, sum(lam)))
+                    keys += [(lam, gamma) for gamma in gammas[::max(1, len(gammas) // 4)]]
+        limit = kostka_module._MAX_WALK_NODES
+        sizes = []
+        for lam, gamma in keys:
+            n = len(lam)
+            flat = [x for b in gamma for x in b]
+            lam_rho = tuple(x + n - 1 - i for i, x in enumerate(lam))
+            gamma_rho = tuple(x + n - 1 - i for i, x in enumerate(flat))
+            got = kostka_module._sweep(lam_rho, gamma_rho, tuple(map(len, gamma)), None)
+            want = tree_nodes(lam, gamma)
+            assert got == want if want <= limit else got > limit, (lam, gamma)
+            sizes.append(want)
+        assert len(sizes) == 80 and max(sizes) > limit and 10_000 < sorted(sizes)[-2] <= limit
 
     def test_rank_11_singleton_within_budget(self):
         assert kostka_kostant((11,) + (0,) * 10, ((1,),) * 11) == QPoly({55: 1})
@@ -418,8 +497,9 @@ class TestNoGarbage:
     def test_keys_leave_no_cycles(self):
         # every object a key builds is freed by reference counting, with
         # cold caches on every path: the grid key under "both", the rank-8
-        # singleton key (its counting pass too), a Kostka-Foulkes value,
-        # the column-skew check and a small table
+        # singleton key (its counting pass too), the rank-10 one under
+        # "kostant", a Kostka-Foulkes value, the column-skew check, a small
+        # table and a Kostant-only table
         enabled = gc.isenabled()
         gc.disable()
         try:
@@ -430,7 +510,9 @@ class TestNoGarbage:
             assert kostka((8,) + (0,) * 7, ((1,),) * 8) == QPoly({28: 1})
             assert kostka_foulkes((3, 1), (2, 1, 1)) == QPoly({1: 1, 2: 1})
             assert check_col_skew((2, 1, 0, 0), ((2, 1), (1, 0)), 1)
+            assert kostka((10,) + (0,) * 9, ((1,),) * 10, method="kostant") == QPoly({45: 1})
             assert len(kostka_table((2, 2), 4)) == 16
+            assert len(kostka_table((2, 2, 2), 5, method="kostant")) == 33
             assert gc.collect() == 0
         finally:
             if enabled:
